@@ -154,10 +154,12 @@ void BM_FairWindowEngineBatched_ExpBackoff(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
+  ucr::EngineOptions options;
+  options.batched = true;
   for (auto _ : state) {
     ucr::ExponentialBackoff schedule;
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(8, seed++);
-    const auto run = ucr::run_fair_window_engine_batched(schedule, k, rng, {});
+    const auto run = ucr::run_fair_window_engine(schedule, k, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }
@@ -172,10 +174,12 @@ void BM_FairSlotEngineBatched_Genie(benchmark::State& state) {
   const std::uint64_t k = state.range(0);
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
+  ucr::EngineOptions options;
+  options.batched = true;
   for (auto _ : state) {
     ucr::KnownKGenie genie(k);
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(9, seed++);
-    const auto run = ucr::run_fair_slot_engine_batched(genie, k, rng, {});
+    const auto run = ucr::run_fair_slot_engine(genie, k, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }
@@ -201,9 +205,11 @@ void BM_NodeBatched_DensePoisson(benchmark::State& state) {
   };
   std::uint64_t seed = 0;
   std::uint64_t slots = 0;
+  ucr::EngineOptions options;
+  options.batched = true;
   for (auto _ : state) {
     ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(13, seed++);
-    const auto run = ucr::run_node_engine_batched(factory, arrivals, rng, {});
+    const auto run = ucr::run_node_engine(factory, arrivals, rng, options);
     slots += run.slots;
     benchmark::DoNotOptimize(run.slots);
   }

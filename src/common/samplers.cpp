@@ -20,6 +20,18 @@ SlotCategory sample_slot_category(Xoshiro256& rng, std::uint64_t m, double p) {
 
 namespace detail {
 
+namespace {
+
+// ln Gamma(x) for x > 0. std::lgamma writes the global `signgam`, a data
+// race when several threads sample at once; the reentrant variant returns
+// the same value and keeps the sign local.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 std::uint64_t binomial_inversion(Xoshiro256& rng, std::uint64_t n, double p) {
   // CDF walk from k = 0; expected number of iterations is n*p + O(sqrt(np)).
   const double q = pow_one_minus(p, static_cast<double>(n));
@@ -51,7 +63,7 @@ std::uint64_t binomial_btrs(Xoshiro256& rng, std::uint64_t n, double p) {
   const double alpha = (2.83 + 5.1 / b) * spq;
   const double lpq = std::log(p / q);
   const double m = std::floor((nd + 1.0) * p);
-  const double h = std::lgamma(m + 1.0) + std::lgamma(nd - m + 1.0);
+  const double h = log_gamma(m + 1.0) + log_gamma(nd - m + 1.0);
 
   for (;;) {
     const double u = rng.next_double() - 0.5;
@@ -63,7 +75,7 @@ std::uint64_t binomial_btrs(Xoshiro256& rng, std::uint64_t n, double p) {
       return static_cast<std::uint64_t>(kd);
     }
     v = std::log(v * alpha / (a / (us * us) + b));
-    if (v <= h - std::lgamma(kd + 1.0) - std::lgamma(nd - kd + 1.0) +
+    if (v <= h - log_gamma(kd + 1.0) - log_gamma(nd - kd + 1.0) +
                  (kd - m) * lpq) {
       return static_cast<std::uint64_t>(kd);
     }

@@ -13,10 +13,20 @@ namespace ucr {
 
 namespace {
 
+void require_fair_contract(std::uint64_t k, const EngineOptions& options) {
+  UCR_REQUIRE(k > 0, "workload must contain at least one message");
+  UCR_REQUIRE(!options.batched || options.observer == nullptr,
+              "batched runs never materialize skipped slots; per-slot "
+              "observers require EngineOptions::batched = false");
+  UCR_REQUIRE(options.channel.is_clean(),
+              "the fair aggregate engines rest on a common-feedback "
+              "symmetry that imperfect channel models (channel/model.hpp) "
+              "break; non-clean cells run on the exact node engine — the "
+              "exp pipeline routes them there automatically");
+}
+
 // One exact per-slot step of a fair slot-probability protocol: category
 // draw, metric updates, optional observer callback, protocol advance.
-// Shared by the exact engine and the batched engine's hint-1 fallback so
-// their bit-identical contract holds by construction.
 void resolve_slot_exact(FairSlotProtocol& protocol, double p,
                         std::uint64_t& m, Xoshiro256& rng,
                         const EngineOptions& options, RunMetrics& metrics,
@@ -53,17 +63,70 @@ void resolve_slot_exact(FairSlotProtocol& protocol, double p,
   protocol.on_slot_end(delivery);
 }
 
+// The per-slot chain of one window: one Binomial(pending, 1/(W-j)) draw per
+// slot for the stations that have not transmitted yet in this window, over
+// the window's first `usable` slots (those the cap lets elapse).
+void resolve_window_chain(std::uint64_t window, std::uint64_t usable,
+                          std::uint64_t& m, Xoshiro256& rng,
+                          const EngineOptions& options, RunMetrics& metrics,
+                          KahanSum& expected_tx) {
+  std::uint64_t pending = m;  // stations yet to transmit in this window
+  for (std::uint64_t j = 0; j < usable; ++j) {
+    if (m == 0) break;  // problem solved; the makespan stops here
+    if (pending == 0) {
+      // Everyone already transmitted: the rest of the window is silent,
+      // but it still elapses (later deliveries happen after it). The
+      // observer still sees every elapsed slot — RunMetrics and
+      // observer-derived traces must agree slot for slot.
+      const std::uint64_t take = usable - j;
+      if (options.observer != nullptr) {
+        for (std::uint64_t s = 0; s < take; ++s) {
+          options.observer->on_slot(
+              SlotView{metrics.slots + s, m,
+                       1.0 / static_cast<double>(window - (j + s)),
+                       SlotOutcome::kSilence});
+        }
+      }
+      metrics.slots += take;
+      metrics.silence_slots += take;
+      break;
+    }
+    const double hazard = 1.0 / static_cast<double>(window - j);
+    const std::uint64_t t = sample_binomial(rng, pending, hazard);
+    pending -= t;
+    metrics.transmissions += t;
+    expected_tx.add(static_cast<double>(pending + t) * hazard);
+    SlotOutcome outcome;
+    if (t == 0) {
+      ++metrics.silence_slots;
+      outcome = SlotOutcome::kSilence;
+    } else if (t == 1) {
+      ++metrics.success_slots;
+      ++metrics.deliveries;
+      --m;
+      if (options.record_deliveries) {
+        metrics.delivery_slots.push_back(metrics.slots);
+      }
+      outcome = SlotOutcome::kSuccess;
+    } else {
+      ++metrics.collision_slots;
+      outcome = SlotOutcome::kCollision;
+    }
+    if (options.observer != nullptr) {
+      options.observer->on_slot(SlotView{
+          metrics.slots, m + (outcome == SlotOutcome::kSuccess ? 1 : 0),
+          hazard, outcome});
+    }
+    ++metrics.slots;
+  }
+}
+
 }  // namespace
 
 RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
                                 Xoshiro256& rng,
                                 const EngineOptions& options) {
-  UCR_REQUIRE(k > 0, "workload must contain at least one message");
-  UCR_REQUIRE(options.channel.is_clean(),
-              "the fair aggregate engines rest on a common-feedback "
-              "symmetry that imperfect channel models (channel/model.hpp) "
-              "break; non-clean cells run on the exact node engine — the "
-              "exp pipeline routes them there automatically");
+  require_fair_contract(k, options);
   RunMetrics metrics;
   metrics.k = k;
   const std::uint64_t cap = options.resolved_cap(k);
@@ -74,122 +137,12 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
     const double p = protocol.transmit_probability();
     UCR_CHECK(p >= 0.0 && p <= 1.0,
               "protocol produced a probability outside [0, 1]");
-    resolve_slot_exact(protocol, p, m, rng, options, metrics, expected_tx);
-  }
-
-  metrics.expected_transmissions = expected_tx.value();
-  metrics.completed = m == 0;
-  metrics.validate();
-  return metrics;
-}
-
-RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
-                                  Xoshiro256& rng,
-                                  const EngineOptions& options) {
-  UCR_REQUIRE(k > 0, "workload must contain at least one message");
-  UCR_REQUIRE(options.channel.is_clean(),
-              "the fair aggregate engines rest on a common-feedback "
-              "symmetry that imperfect channel models (channel/model.hpp) "
-              "break; non-clean cells run on the exact node engine — the "
-              "exp pipeline routes them there automatically");
-  RunMetrics metrics;
-  metrics.k = k;
-  const std::uint64_t cap = options.resolved_cap(k);
-  KahanSum expected_tx;
-
-  std::uint64_t m = k;  // active stations
-  while (m > 0 && metrics.slots < cap) {
-    const std::uint64_t window = schedule.next_window_slots();
-    UCR_CHECK(window >= 1, "window schedule produced an empty window");
-
-    std::uint64_t pending = m;  // stations yet to transmit in this window
-    for (std::uint64_t j = 0; j < window && metrics.slots < cap; ++j) {
-      if (m == 0) break;  // problem solved; the makespan stops here
-      if (pending == 0) {
-        // Everyone already transmitted: the rest of the window is silent,
-        // but it still elapses (later deliveries happen after it). The
-        // observer still sees every elapsed slot — RunMetrics and
-        // observer-derived traces must agree slot for slot.
-        const std::uint64_t rest = window - j;
-        const std::uint64_t take =
-            rest < cap - metrics.slots ? rest : cap - metrics.slots;
-        if (options.observer != nullptr) {
-          for (std::uint64_t s = 0; s < take; ++s) {
-            options.observer->on_slot(
-                SlotView{metrics.slots + s, m,
-                         1.0 / static_cast<double>(window - (j + s)),
-                         SlotOutcome::kSilence});
-          }
-        }
-        metrics.slots += take;
-        metrics.silence_slots += take;
-        break;
-      }
-      const double hazard = 1.0 / static_cast<double>(window - j);
-      const std::uint64_t t = sample_binomial(rng, pending, hazard);
-      pending -= t;
-      metrics.transmissions += t;
-      expected_tx.add(static_cast<double>(pending + t) * hazard);
-      SlotOutcome outcome;
-      if (t == 0) {
-        ++metrics.silence_slots;
-        outcome = SlotOutcome::kSilence;
-      } else if (t == 1) {
-        ++metrics.success_slots;
-        ++metrics.deliveries;
-        --m;
-        if (options.record_deliveries) {
-          metrics.delivery_slots.push_back(metrics.slots);
-        }
-        outcome = SlotOutcome::kSuccess;
-      } else {
-        ++metrics.collision_slots;
-        outcome = SlotOutcome::kCollision;
-      }
-      if (options.observer != nullptr) {
-        options.observer->on_slot(SlotView{
-            metrics.slots, m + (outcome == SlotOutcome::kSuccess ? 1 : 0),
-            hazard, outcome});
-      }
-      ++metrics.slots;
-    }
-  }
-
-  metrics.expected_transmissions = expected_tx.value();
-  metrics.completed = m == 0;
-  metrics.validate();
-  return metrics;
-}
-
-RunMetrics run_fair_slot_engine_batched(FairSlotProtocol& protocol,
-                                        std::uint64_t k, Xoshiro256& rng,
-                                        const EngineOptions& options) {
-  UCR_REQUIRE(k > 0, "workload must contain at least one message");
-  UCR_REQUIRE(options.observer == nullptr,
-              "the batched engine never materializes skipped slots; per-slot "
-              "observers require the exact engine");
-  UCR_REQUIRE(options.channel.is_clean(),
-              "the fair aggregate engines rest on a common-feedback "
-              "symmetry that imperfect channel models (channel/model.hpp) "
-              "break; non-clean cells run on the exact node engine — the "
-              "exp pipeline routes them there automatically");
-  RunMetrics metrics;
-  metrics.k = k;
-  const std::uint64_t cap = options.resolved_cap(k);
-  KahanSum expected_tx;
-
-  std::uint64_t m = k;  // active stations
-  while (m > 0 && metrics.slots < cap) {
-    const double p = protocol.transmit_probability();
-    UCR_CHECK(p >= 0.0 && p <= 1.0,
-              "protocol produced a probability outside [0, 1]");
-    const std::uint64_t horizon = protocol.constant_probability_slots();
+    const std::uint64_t horizon =
+        options.batched ? protocol.constant_probability_slots() : 1;
     UCR_CHECK(horizon >= 1, "constant-probability horizon must be >= 1");
     const std::uint64_t stretch = std::min(horizon, cap - metrics.slots);
 
     if (stretch <= 1) {
-      // No batching horizon: exact single-slot step, with the same draw as
-      // run_fair_slot_engine (bit-identical runs for hint-1 protocols).
       resolve_slot_exact(protocol, p, m, rng, options, metrics, expected_tx);
       continue;
     }
@@ -233,21 +186,14 @@ RunMetrics run_fair_slot_engine_batched(FairSlotProtocol& protocol,
   return metrics;
 }
 
-RunMetrics run_fair_window_engine_batched(WindowSchedule& schedule,
-                                          std::uint64_t k, Xoshiro256& rng,
-                                          const EngineOptions& options) {
-  UCR_REQUIRE(k > 0, "workload must contain at least one message");
-  UCR_REQUIRE(options.observer == nullptr,
-              "the batched engine never materializes skipped slots; per-slot "
-              "observers require the exact engine");
-  UCR_REQUIRE(options.channel.is_clean(),
-              "the fair aggregate engines rest on a common-feedback "
-              "symmetry that imperfect channel models (channel/model.hpp) "
-              "break; non-clean cells run on the exact node engine — the "
-              "exp pipeline routes them there automatically");
+RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
+                                  Xoshiro256& rng,
+                                  const EngineOptions& options) {
+  require_fair_contract(k, options);
   RunMetrics metrics;
   metrics.k = k;
   const std::uint64_t cap = options.resolved_cap(k);
+  KahanSum expected_tx;
 
   std::uint64_t m = k;                 // active stations
   std::vector<std::uint8_t> counts;    // dense path: per-offset occupancy
@@ -279,37 +225,12 @@ RunMetrics run_fair_window_engine_batched(WindowSchedule& schedule,
     // Slots of this window that can still elapse under the cap.
     const std::uint64_t usable = std::min(window, cap - metrics.slots);
 
-    if (window <= pending / 8) {
-      // Very dense window: the exact per-slot chain (one Binomial(pending,
-      // 1/(W-j)) draw per slot) is the cheaper formulation — O(window)
-      // draws beats O(pending) station choices by 8x or more.
-      std::uint64_t left = pending;  // stations yet to transmit
-      for (std::uint64_t j = 0; j < usable; ++j) {
-        if (m == 0) break;
-        if (left == 0) {
-          const std::uint64_t take = usable - j;
-          metrics.slots += take;
-          metrics.silence_slots += take;
-          break;
-        }
-        const double hazard = 1.0 / static_cast<double>(window - j);
-        const std::uint64_t t = sample_binomial(rng, left, hazard);
-        left -= t;
-        metrics.transmissions += t;
-        if (t == 0) {
-          ++metrics.silence_slots;
-        } else if (t == 1) {
-          ++metrics.success_slots;
-          ++metrics.deliveries;
-          --m;
-          if (options.record_deliveries) {
-            metrics.delivery_slots.push_back(metrics.slots);
-          }
-        } else {
-          ++metrics.collision_slots;
-        }
-        ++metrics.slots;
-      }
+    if (!options.batched || window <= pending / 8) {
+      // Exact, or a very dense batched window: the per-slot chain is the
+      // cheaper formulation there — O(window) draws beats O(pending)
+      // station choices by 8x or more.
+      resolve_window_chain(window, usable, m, rng, options, metrics,
+                           expected_tx);
       continue;
     }
 
@@ -435,11 +356,12 @@ RunMetrics run_fair_window_engine_batched(WindowSchedule& schedule,
     metrics.slots += elapsed;
   }
 
-  // Transmission counting is exact on both paths; the realized count is
-  // also the conditional expectation given the slot choices, so the
-  // expected-count field mirrors it in batched mode.
+  // Batched: transmission counting is exact on every path, and the
+  // realized count is also the conditional expectation given the slot
+  // choices, so the expected-count field mirrors it.
   metrics.expected_transmissions =
-      static_cast<double>(metrics.transmissions);
+      options.batched ? static_cast<double>(metrics.transmissions)
+                      : expected_tx.value();
   metrics.completed = m == 0;
   metrics.validate();
   return metrics;

@@ -25,52 +25,47 @@
 
 namespace ucr {
 
+// EngineOptions::batched selects the paper-scale formulation of each
+// engine: whole stretches of slots are sampled at once instead of resolved
+// one by one, producing a process with exactly the same law of outcomes (no
+// approximation is involved) but a different RNG consumption pattern
+// wherever a stretch is actually skipped: a batched run and an exact run
+// from the same seed are then different sample paths of the same
+// distribution. Equivalence is therefore pinned statistically
+// (tests/integration), not by golden outputs. Batched runs support no
+// EngineOptions::observer — skipped slots are never materialized — and
+// throw ContractViolation if one is attached. Both engines require the
+// clean channel.
+
 /// Runs a fair slot-probability protocol on a batch of k messages.
 /// O(1) work per slot; scales to k = 10^7 makespans on a laptop.
+///
+/// Batched: over a stretch of slots where the protocol guarantees constant
+/// p (FairSlotProtocol::constant_probability_slots), the number of
+/// non-success slots before the next success is Geometric(P[success]); the
+/// engine draws it in O(1) and splits the skipped slots into
+/// silence/collision with one binomial draw. Cost: O(successes +
+/// probability changes) — for a constant-p protocol, O(k) total regardless
+/// of the makespan. Protocols that return the default hint of 1 take the
+/// per-slot step in both modes (bit-identical runs from the same seed).
 RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
                                 Xoshiro256& rng, const EngineOptions& options);
 
 /// Runs a fair contention-window protocol on a batch of k messages.
 /// O(1) expected work per slot (one binomial draw).
+///
+/// Batched: instead of one Binomial(pending, 1/(W-j)) draw per slot, the
+/// engine samples each pending station's chosen slot directly (the two
+/// formulations are equivalent by the chain rule on uniform slot choices)
+/// and walks only the occupied slots. Cost: O(active stations) per window
+/// instead of O(W) — the win at paper scale, where monotone back-off
+/// windows grow to >> k slots that are almost entirely silent. Very dense
+/// windows (W <= pending / 8) keep the per-slot chain, which is cheaper
+/// there. expected_transmissions is the sum of per-slot expectations when
+/// exact and mirrors the exact RunMetrics::transmissions when batched (the
+/// realized count is the conditional expectation given the choices).
 RunMetrics run_fair_window_engine(WindowSchedule& schedule, std::uint64_t k,
                                   Xoshiro256& rng,
                                   const EngineOptions& options);
-
-// Batched fast paths — the paper-scale engines (EngineOptions::batched).
-//
-// Both sample whole stretches of slots at once instead of resolving slots
-// one by one, producing a process with exactly the same law of outcomes as
-// the corresponding exact engine (no approximation is involved), but a
-// different RNG consumption pattern: a batched run and an exact run from
-// the same seed are different sample paths of the same distribution.
-// Equivalence is therefore pinned statistically (tests/integration), not
-// by golden outputs. Neither engine supports EngineOptions::observer —
-// skipped slots are never materialized — and both throw ContractViolation
-// if one is attached.
-
-/// Batched slot-probability engine. Over a stretch of slots where the
-/// protocol guarantees constant p (FairSlotProtocol::
-/// constant_probability_slots), the number of non-success slots before the
-/// next success is Geometric(P[success]); the engine draws it in O(1) and
-/// splits the skipped slots into silence/collision with one binomial draw.
-/// Cost: O(successes + probability changes) — for a constant-p protocol,
-/// O(k) total regardless of the makespan. Protocols that return the
-/// default hint of 1 take the exact per-slot path (bit-identical to
-/// run_fair_slot_engine from the same seed).
-RunMetrics run_fair_slot_engine_batched(FairSlotProtocol& protocol,
-                                        std::uint64_t k, Xoshiro256& rng,
-                                        const EngineOptions& options);
-
-/// Batched window engine. Instead of one Binomial(pending, 1/(W-j)) draw
-/// per slot, it samples each pending station's chosen slot directly (the
-/// two formulations are equivalent by the chain rule on uniform slot
-/// choices) and walks only the occupied slots. Cost: O(active stations)
-/// per window instead of O(W) — the win at paper scale, where monotone
-/// back-off windows grow to >> k slots that are almost entirely silent.
-/// RunMetrics::transmissions is exact; expected_transmissions mirrors it
-/// (the realized count is the conditional expectation given the choices).
-RunMetrics run_fair_window_engine_batched(WindowSchedule& schedule,
-                                          std::uint64_t k, Xoshiro256& rng,
-                                          const EngineOptions& options);
 
 }  // namespace ucr

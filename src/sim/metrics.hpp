@@ -69,32 +69,36 @@ struct EngineOptions {
   bool record_deliveries = false;
   /// Record per-message latencies (per-node engine only; O(k) memory).
   bool record_latencies = false;
-  /// Use the batched fast paths: for the fair engines
-  /// (sim/fair_engine.hpp) O(successes + probability changes) instead of
-  /// O(slots) for slot-probability protocols and O(active stations)
-  /// instead of O(window slots) per window for window protocols; for the
-  /// per-node engine (sim/node_engine.hpp) bulk-sampled stationary
-  /// stretches — empty-channel gaps and constant-probability runs
-  /// certified by NodeProtocol::stationary_slots() — instead of per-slot
-  /// resolution. Same law of outcomes as the exact engines but a
-  /// different RNG consumption pattern wherever a stretch is actually
-  /// skipped, so individual runs differ; validated statistically
-  /// (tests/integration). Incompatible with `observer` (the skipped slots
-  /// are never materialized).
+  /// Run each engine in its batched mode — every engine function
+  /// (run_fair_slot_engine, run_fair_window_engine, run_node_engine)
+  /// reads this flag; there is no separate batched entry point. For the
+  /// fair engines (sim/fair_engine.hpp): O(successes + probability
+  /// changes) instead of O(slots) for slot-probability protocols and
+  /// O(active stations) instead of O(window slots) per window for window
+  /// protocols; for the per-node engine (sim/node_engine.hpp):
+  /// bulk-sampled stationary stretches — empty-channel gaps and
+  /// constant-probability runs certified by NodeProtocol::
+  /// stationary_slots() — instead of per-slot resolution. Same law of
+  /// outcomes as with the flag off but a different RNG consumption pattern
+  /// wherever a stretch is actually skipped, so individual runs differ;
+  /// validated statistically (tests/integration). Incompatible with
+  /// `observer` (the skipped slots are never materialized) and with a
+  /// non-clean `channel`; the engines throw ContractViolation on either.
   bool batched = false;
   /// Channel-model extension: stations can distinguish collision from
   /// silence (Feedback::heard_collision). The paper's model — and every
   /// protocol it evaluates — uses false; the CD baselines (stack/tree
   /// algorithms) require true.
   bool collision_detection = false;
-  /// Per-slot channel behaviour (channel/model.hpp). Only the exact node
-  /// engine implements the non-clean models; the fair engines and the
-  /// batched fast paths require is_clean() and throw otherwise — the exp
-  /// pipeline routes non-clean grids onto the exact node engine at
-  /// compile() (exp/plan.cpp), where this field is derived from the
-  /// spec's channel axis, not read from the spec's engine_options.
+  /// Per-slot channel behaviour (channel/model.hpp). Only
+  /// run_node_engine with `batched` off implements the non-clean models;
+  /// the fair engines and every batched run require is_clean() and throw
+  /// otherwise — the exp pipeline routes non-clean grids onto the exact
+  /// node engine at compile() (exp/plan.cpp), where this field is derived
+  /// from the spec's channel axis, not read from the spec's
+  /// engine_options.
   ChannelModel channel;
-  /// Optional per-slot hook (exact engines only — the batched fast paths
+  /// Optional per-slot hook (runs with `batched` off only — batched runs
   /// never materialize skipped slots and throw if one is attached); not
   /// owned, may be null. See sim/observer.hpp.
   SlotObserver* observer = nullptr;

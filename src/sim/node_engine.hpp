@@ -1,20 +1,19 @@
-// Per-node simulation engines: every station is simulated individually.
+// Per-node simulation engine: every station is simulated individually.
 //
 // run_node_engine is the ground-truth engine — it makes no fairness
 // assumption, so it supports dynamic arrivals (stations in genuinely
 // different states) and is used by the test suite to validate the aggregate
-// engine statistically. Cost is O(active stations) per slot; use FairEngine
-// for batched arrivals at k >> 10^4.
+// engine statistically. Cost is O(active stations) per slot; use the fair
+// engines for batched arrivals at k >> 10^4.
 //
-// run_node_engine_batched is its fast path for the silent stretches dynamic
-// workloads are made of (EngineOptions::batched with node cells): whenever
-// the active-station set is stationary — empty until the next arrival, or
-// every station advertising a constant transmission probability through
-// NodeProtocol::stationary_slots() — the slots are i.i.d. categorical, so
-// the engine samples the geometric length of the non-success run plus one
-// binomial silence/collision split in bulk and materializes only the
-// state-changing (success) slot. Arrivals truncate every stretch, so
-// Poisson/burst workloads stay exact.
+// With EngineOptions::batched it also skips the silent stretches dynamic
+// workloads are made of: whenever the active-station set is stationary —
+// empty until the next arrival, or every station advertising a constant
+// transmission probability through NodeProtocol::stationary_slots() — the
+// slots are i.i.d. categorical, so the engine samples the geometric length
+// of the non-success run plus one binomial silence/collision split in bulk
+// and materializes only the state-changing (success) slot. Arrivals
+// truncate every stretch, so Poisson/burst workloads stay exact.
 #pragma once
 
 #include <cstdint>
@@ -47,44 +46,38 @@ struct LatencyMetrics {
 /// resolved slot; SlotView::probability reports the mean per-station
 /// transmission probability of the slot (0 when no station is active),
 /// the per-node generalization of the fair engines' common probability.
-RunMetrics run_node_engine(const NodeFactory& factory,
-                           const ArrivalPattern& arrivals, Xoshiro256& rng,
-                           const EngineOptions& options,
-                           LatencyMetrics* latency = nullptr);
-
-/// Batched fast path of the per-node engine (see the file comment).
 ///
-/// Same law of outcomes as run_node_engine — no approximation: within a
-/// stationary stretch the slots are i.i.d. categorical over {silence,
+/// EngineOptions::batched turns on stretch skipping (see the file comment)
+/// with the same law of outcomes — no approximation: within a stationary
+/// stretch the slots are i.i.d. categorical over {silence,
 /// success-by-station-i, collision}, so drawing the truncated geometric
 /// non-success run length, one binomial silence/collision split, and the
 /// delivering station from its conditional distribution reproduces the
-/// exact joint law. Stretches where any active station declines to certify
-/// stationarity (NodeProtocol::stationary_slots() == 1) are resolved with
-/// the exact engine's per-station draws in the same order, and skipping an
-/// empty-channel stretch consumes no randomness at all — so a workload
-/// whose stations all keep the default hint of 1 is bit-identical to
-/// run_node_engine from the same seed. Stretches certified by hints > 1
+/// exact joint law. Slots where any active station declines to certify
+/// stationarity (NodeProtocol::stationary_slots() == 1) take the same
+/// per-station draws in the same order with skipping on or off, and
+/// skipping an empty-channel stretch consumes no randomness at all — so a
+/// workload whose stations all keep the default hint of 1 is bit-identical
+/// in both modes from the same seed. Stretches certified by hints > 1
 /// generally consume randomness differently and are pinned statistically
 /// (tests/integration/node_batched_test.cpp) — except when every
 /// probability in the stretch is an exact 0 or 1, as with the pre-drawn
 /// window adapter (protocols/window_node.hpp): Bernoulli, geometric and
 /// binomial draws are all draw-free at degenerate p, so window-protocol
-/// cells are bit-identical between the two engines even while skipping
+/// cells are bit-identical between the two modes even while skipping
 /// (pinned byte-for-byte by the dynamic-arrivals golden test).
 ///
 /// Accounting: RunMetrics::transmissions counts materialized slots only;
 /// expected_transmissions carries realized counts for materialized slots
-/// plus the unconditional expectation sum_i p_i per slot of every bulk
-/// stretch, its success slot included — unbiased by Wald's identity, so
-/// its mean matches the exact engine's realized mean, and for a run with
-/// no skipped stretches the two are equal. Incompatible with
-/// EngineOptions::observer — skipped slots are never materialized; the
-/// engine throws ContractViolation if one is attached.
-RunMetrics run_node_engine_batched(const NodeFactory& factory,
-                                   const ArrivalPattern& arrivals,
-                                   Xoshiro256& rng,
-                                   const EngineOptions& options,
-                                   LatencyMetrics* latency = nullptr);
+/// plus, when batched, the unconditional expectation sum_i p_i per slot of
+/// every bulk stretch, its success slot included — unbiased by Wald's
+/// identity, so its mean matches the realized mean, and for a run with no
+/// skipped stretches the two are equal. Batched runs throw
+/// ContractViolation with an observer attached (skipped slots are never
+/// materialized) or on a non-clean EngineOptions::channel.
+RunMetrics run_node_engine(const NodeFactory& factory,
+                           const ArrivalPattern& arrivals, Xoshiro256& rng,
+                           const EngineOptions& options,
+                           LatencyMetrics* latency = nullptr);
 
 }  // namespace ucr

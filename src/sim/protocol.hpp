@@ -50,7 +50,8 @@ class NodeProtocol {
   /// constant_probability_slots(), generalized to heterogeneous state: the
   /// batched node engine skips min-over-stations stretches. The
   /// conservative default of 1 keeps every protocol on the exact per-slot
-  /// path (bit-identical to run_node_engine from the same seed).
+  /// path (bit-identical to a run with EngineOptions::batched off from the
+  /// same seed).
   ///
   /// A protocol that resolves its randomness ahead of time can certify
   /// long deterministic stretches even before it first transmits: the

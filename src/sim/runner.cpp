@@ -62,14 +62,10 @@ RunMetrics run_single_fair(const ProtocolFactory& factory, std::uint64_t k,
   Xoshiro256 rng = Xoshiro256::stream(seed, run_index);
   if (factory.fair_slot) {
     auto protocol = factory.fair_slot(k);
-    return options.batched
-               ? run_fair_slot_engine_batched(*protocol, k, rng, options)
-               : run_fair_slot_engine(*protocol, k, rng, options);
+    return run_fair_slot_engine(*protocol, k, rng, options);
   }
   auto schedule = factory.window(k);
-  return options.batched
-             ? run_fair_window_engine_batched(*schedule, k, rng, options)
-             : run_fair_window_engine(*schedule, k, rng, options);
+  return run_fair_window_engine(*schedule, k, rng, options);
 }
 
 RunMetrics run_single_node(const ProtocolFactory& factory,
@@ -83,9 +79,7 @@ RunMetrics run_single_node(const ProtocolFactory& factory,
   const NodeFactory node_factory = [&](Xoshiro256& node_rng) {
     return factory.node(k, node_rng);
   };
-  return options.batched
-             ? run_node_engine_batched(node_factory, arrivals, rng, options)
-             : run_node_engine(node_factory, arrivals, rng, options);
+  return run_node_engine(node_factory, arrivals, rng, options);
 }
 
 AggregateResult run_fair_experiment(const ProtocolFactory& factory,

@@ -35,8 +35,8 @@
 
 namespace ucr {
 
-/// Parallel-array station state shared by run_node_engine and
-/// run_node_engine_batched. Persistent arrays (protocol, arrival slot,
+/// Parallel-array station state of run_node_engine, with and without
+/// EngineOptions::batched. Persistent arrays (protocol, arrival slot,
 /// attempt count) stay index-aligned across swap_remove; per-slot scratch
 /// (probabilities, transmitted flags) is valid only between the gather and
 /// the end of the same slot.
@@ -63,7 +63,7 @@ class StationSoA {
   void activate(const NodeFactory& factory, Xoshiro256& rng,
                 std::uint64_t arrival_slot);
 
-  /// Pass 1 (exact engine): gathers every station's transmission
+  /// Pass 1 (exact mode): gathers every station's transmission
   /// probability into the probs() array, in index order. Returns the sum
   /// (the observer's mean-probability numerator). Throws on p outside
   /// [0, 1].
@@ -81,7 +81,7 @@ class StationSoA {
     return p_sum;
   }
 
-  /// Pass 1 (batched engine): gather_probabilities plus the slot's joint
+  /// Pass 1 (batched mode): gather_probabilities plus the slot's joint
   /// category law and the min stationarity horizon, in one scan.
   SlotLaw gather_slot_law() {
     const std::size_t n = protocols_.size();

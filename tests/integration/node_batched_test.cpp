@@ -1,5 +1,5 @@
-// Integration: the batched per-node engine (run_node_engine_batched,
-// EngineOptions::batched on node cells) induces the same law of outcomes
+// Integration: the per-node engine with EngineOptions::batched (stretch
+// skipping in run_node_engine) induces the same law of outcomes
 // as the exact per-node engine, for every protocol in the catalogue, under
 // dynamic arrivals. Wherever a stationary stretch is actually skipped the
 // batched path consumes randomness differently (geometric run lengths and

@@ -11,6 +11,13 @@
 namespace ucr {
 namespace {
 
+// EngineOptions with only the batched mode switched on.
+EngineOptions batched_options() {
+  EngineOptions options;
+  options.batched = true;
+  return options;
+}
+
 // Fixed shared probability (the simplest fair protocol). Keeps the
 // default batching hint of 1: the batched engine must fall back to the
 // exact per-slot path for it.
@@ -228,7 +235,8 @@ TEST(FairWindowEngine, ObserverSeesBulkSilenceUpToCap) {
 TEST(BatchedSlotEngine, SingleStationFullProbability) {
   ConstantFair protocol(1.0);
   Xoshiro256 rng(40);
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 1, rng, {});
+  const RunMetrics m =
+      run_fair_slot_engine(protocol, 1, rng, batched_options());
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.slots, 1u);
   EXPECT_DOUBLE_EQ(m.expected_transmissions, 1.0);
@@ -241,8 +249,9 @@ TEST(BatchedSlotEngine, TwoStationsFullProbabilityDeadlocks) {
   ConstantFair protocol(1.0);
   Xoshiro256 rng(41);
   EngineOptions opts;
+  opts.batched = true;
   opts.max_slots = 100;
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 2, rng, opts);
+  const RunMetrics m = run_fair_slot_engine(protocol, 2, rng, opts);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.collision_slots, 100u);
   EXPECT_EQ(m.silence_slots, 0u);
@@ -252,8 +261,9 @@ TEST(BatchedSlotEngine, ZeroProbabilityIsAllSilence) {
   ConstantFair protocol(0.0);
   Xoshiro256 rng(42);
   EngineOptions opts;
+  opts.batched = true;
   opts.max_slots = 1000;
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 5, rng, opts);
+  const RunMetrics m = run_fair_slot_engine(protocol, 5, rng, opts);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.silence_slots, 1000u);
   EXPECT_DOUBLE_EQ(m.expected_transmissions, 0.0);
@@ -263,8 +273,9 @@ TEST(BatchedSlotEngine, SolvesAndRecordsDeliveries) {
   ConstantFair protocol(0.05);
   Xoshiro256 rng(43);
   EngineOptions opts;
+  opts.batched = true;
   opts.record_deliveries = true;
-  const RunMetrics m = run_fair_slot_engine_batched(protocol, 20, rng, opts);
+  const RunMetrics m = run_fair_slot_engine(protocol, 20, rng, opts);
   ASSERT_TRUE(m.completed);
   EXPECT_EQ(m.deliveries, 20u);
   ASSERT_EQ(m.delivery_slots.size(), 20u);
@@ -281,7 +292,7 @@ TEST(BatchedSlotEngine, BitIdenticalToExactForHintOneProtocols) {
     Xoshiro256 rng_b = Xoshiro256::stream(910, seed);
     const RunMetrics a = run_fair_slot_engine(exact_protocol, 15, rng_a, {});
     const RunMetrics b =
-        run_fair_slot_engine_batched(batched_protocol, 15, rng_b, {});
+        run_fair_slot_engine(batched_protocol, 15, rng_b, batched_options());
     EXPECT_EQ(a.slots, b.slots);
     EXPECT_EQ(a.silence_slots, b.silence_slots);
     EXPECT_EQ(a.collision_slots, b.collision_slots);
@@ -304,7 +315,8 @@ TEST(BatchedSlotEngine, MeanMakespanMatchesExactEngine) {
     exact_stats.add(static_cast<double>(
         run_fair_slot_engine(exact_protocol, 12, rng_a, {}).slots));
     batched_stats.add(static_cast<double>(
-        run_fair_slot_engine_batched(batched_protocol, 12, rng_b, {}).slots));
+        run_fair_slot_engine(batched_protocol, 12, rng_b, batched_options())
+            .slots));
   }
   const double se = std::sqrt(exact_stats.variance() / runs +
                               batched_stats.variance() / runs);
@@ -317,15 +329,16 @@ TEST(BatchedSlotEngine, RejectsObserver) {
   Xoshiro256 rng(44);
   CountingObserver observer;
   EngineOptions opts;
+  opts.batched = true;
   opts.observer = &observer;
-  EXPECT_THROW(run_fair_slot_engine_batched(protocol, 2, rng, opts),
+  EXPECT_THROW(run_fair_slot_engine(protocol, 2, rng, opts),
                ContractViolation);
 }
 
 TEST(BatchedSlotEngine, RejectsZeroK) {
   ConstantFair protocol(0.5);
   Xoshiro256 rng(45);
-  EXPECT_THROW(run_fair_slot_engine_batched(protocol, 0, rng, {}),
+  EXPECT_THROW(run_fair_slot_engine(protocol, 0, rng, batched_options()),
                ContractViolation);
 }
 
@@ -334,7 +347,8 @@ TEST(BatchedSlotEngine, RejectsZeroK) {
 TEST(BatchedWindowEngine, WindowOfOneWithOneStation) {
   FixedWindow schedule(1);
   Xoshiro256 rng(50);
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 1, rng, {});
+  const RunMetrics m =
+      run_fair_window_engine(schedule, 1, rng, batched_options());
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.slots, 1u);
   EXPECT_EQ(m.transmissions, 1u);
@@ -344,8 +358,9 @@ TEST(BatchedWindowEngine, WindowOfOneWithManyDeadlocks) {
   FixedWindow schedule(1);
   Xoshiro256 rng(51);
   EngineOptions opts;
+  opts.batched = true;
   opts.max_slots = 50;
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 3, rng, opts);
+  const RunMetrics m = run_fair_window_engine(schedule, 3, rng, opts);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.collision_slots, 50u);
   EXPECT_EQ(m.transmissions, 150u);  // 3 per slot
@@ -354,7 +369,8 @@ TEST(BatchedWindowEngine, WindowOfOneWithManyDeadlocks) {
 TEST(BatchedWindowEngine, LargeWindowSolvesQuickly) {
   FixedWindow schedule(64);
   Xoshiro256 rng(52);
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 8, rng, {});
+  const RunMetrics m =
+      run_fair_window_engine(schedule, 8, rng, batched_options());
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.deliveries, 8u);
 }
@@ -363,8 +379,9 @@ TEST(BatchedWindowEngine, EveryStationTransmitsOncePerFullWindow) {
   FixedWindow schedule(16);
   Xoshiro256 rng(53);
   EngineOptions opts;
+  opts.batched = true;
   opts.max_slots = 16;  // exactly one window
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 5, rng, opts);
+  const RunMetrics m = run_fair_window_engine(schedule, 5, rng, opts);
   EXPECT_EQ(m.transmissions, 5u);
 }
 
@@ -377,9 +394,9 @@ TEST(BatchedWindowEngine, MeanDeliveriesMatchSingletonExpectation) {
     FixedWindow schedule(m0);
     Xoshiro256 rng = Xoshiro256::stream(54, trial);
     EngineOptions opts;
+    opts.batched = true;
     opts.max_slots = m0;  // exactly one window
-    const RunMetrics m =
-        run_fair_window_engine_batched(schedule, m0, rng, opts);
+    const RunMetrics m = run_fair_window_engine(schedule, m0, rng, opts);
     singles.add(static_cast<double>(m.deliveries));
   }
   const double expected =
@@ -392,8 +409,9 @@ TEST(BatchedWindowEngine, CapInsideWindowRespected) {
   FixedWindow schedule(1000);
   Xoshiro256 rng(55);
   EngineOptions opts;
+  opts.batched = true;
   opts.max_slots = 10;
-  const RunMetrics m = run_fair_window_engine_batched(schedule, 500, rng, opts);
+  const RunMetrics m = run_fair_window_engine(schedule, 500, rng, opts);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.slots, 10u);
 }
@@ -407,16 +425,17 @@ TEST(BatchedWindowEngine, BitmapAndSortedPathsAgreeDrawForDraw) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     FixedWindow plain_schedule(4480);
     Xoshiro256 plain_rng = Xoshiro256::stream(930, seed);
-    const RunMetrics plain =
-        run_fair_window_engine_batched(plain_schedule, 70, plain_rng, {});
+    const RunMetrics plain = run_fair_window_engine(
+        plain_schedule, 70, plain_rng, batched_options());
     ASSERT_TRUE(plain.completed);
 
     FixedWindow recording_schedule(4480);
     Xoshiro256 recording_rng = Xoshiro256::stream(930, seed);
     EngineOptions opts;
+    opts.batched = true;
     opts.record_deliveries = true;
-    const RunMetrics recorded = run_fair_window_engine_batched(
-        recording_schedule, 70, recording_rng, opts);
+    const RunMetrics recorded =
+        run_fair_window_engine(recording_schedule, 70, recording_rng, opts);
     ASSERT_TRUE(recorded.completed);
     ASSERT_EQ(recorded.delivery_slots.size(), 70u);
     EXPECT_EQ(recorded.slots, recorded.delivery_slots.back() + 1);
@@ -441,7 +460,7 @@ TEST(BatchedWindowEngine, MeanMakespanMatchesExactEngine) {
     exact_stats.add(static_cast<double>(
         run_fair_window_engine(exact_schedule, 24, rng_a, {}).slots));
     batched_stats.add(static_cast<double>(
-        run_fair_window_engine_batched(batched_schedule, 24, rng_b, {})
+        run_fair_window_engine(batched_schedule, 24, rng_b, batched_options())
             .slots));
   }
   const double se = std::sqrt(exact_stats.variance() / runs +
@@ -455,15 +474,16 @@ TEST(BatchedWindowEngine, RejectsObserver) {
   Xoshiro256 rng(56);
   CountingObserver observer;
   EngineOptions opts;
+  opts.batched = true;
   opts.observer = &observer;
-  EXPECT_THROW(run_fair_window_engine_batched(schedule, 2, rng, opts),
+  EXPECT_THROW(run_fair_window_engine(schedule, 2, rng, opts),
                ContractViolation);
 }
 
 TEST(BatchedWindowEngine, RejectsZeroK) {
   FixedWindow schedule(4);
   Xoshiro256 rng(57);
-  EXPECT_THROW(run_fair_window_engine_batched(schedule, 0, rng, {}),
+  EXPECT_THROW(run_fair_window_engine(schedule, 0, rng, batched_options()),
                ContractViolation);
 }
 

@@ -9,6 +9,13 @@
 namespace ucr {
 namespace {
 
+// EngineOptions with only the batched mode switched on.
+EngineOptions batched_options() {
+  EngineOptions options;
+  options.batched = true;
+  return options;
+}
+
 // Always transmits: with one station this solves in one slot; with two it
 // deadlocks into permanent collisions (the cap must kick in).
 class AlwaysTransmit final : public NodeProtocol {
@@ -236,10 +243,12 @@ RunMetrics run_both_engines_must_match(const NodeFactory& factory,
                                        const EngineOptions& options) {
   Xoshiro256 exact_rng(seed);
   Xoshiro256 batched_rng(seed);
+  EngineOptions batched_options = options;
+  batched_options.batched = true;
   const RunMetrics exact =
       run_node_engine(factory, arrivals, exact_rng, options);
   const RunMetrics batched =
-      run_node_engine_batched(factory, arrivals, batched_rng, options);
+      run_node_engine(factory, arrivals, batched_rng, batched_options);
   EXPECT_EQ(exact.completed, batched.completed);
   EXPECT_EQ(exact.slots, batched.slots);
   EXPECT_EQ(exact.deliveries, batched.deliveries);
@@ -275,8 +284,9 @@ TEST(BatchedNodeEngine, SkipsEmptyGapToTheCap) {
   };
   ArrivalPattern arrivals{100, 400};
   EngineOptions opts;
+  opts.batched = true;
   opts.max_slots = 5000;
-  const RunMetrics m = run_node_engine_batched(factory, arrivals, rng, opts);
+  const RunMetrics m = run_node_engine(factory, arrivals, rng, opts);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.slots, 5000u);
   EXPECT_EQ(m.silence_slots, 5000u);
@@ -298,8 +308,9 @@ TEST(BatchedNodeEngine, ArrivalsTruncateStationaryStretches) {
   };
   ArrivalPattern arrivals{0, 100};
   EngineOptions opts;
+  opts.batched = true;
   opts.max_slots = 300;
-  const RunMetrics m = run_node_engine_batched(factory, arrivals, rng, opts);
+  const RunMetrics m = run_node_engine(factory, arrivals, rng, opts);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.slots, 300u);
   EXPECT_EQ(advanced_first, 300u);
@@ -322,9 +333,9 @@ TEST(BatchedNodeEngine, PermanentCollisionStretchMatchesExactEngine) {
   Xoshiro256 batched_rng(24);
   const RunMetrics exact =
       run_node_engine(factory, batched_arrivals(2), exact_rng, opts);
+  opts.batched = true;
   const RunMetrics batched =
-      run_node_engine_batched(factory, batched_arrivals(2), batched_rng,
-                              opts);
+      run_node_engine(factory, batched_arrivals(2), batched_rng, opts);
   EXPECT_FALSE(batched.completed);
   EXPECT_EQ(batched.collision_slots, 200u);
   EXPECT_EQ(exact.slots, batched.slots);
@@ -343,11 +354,11 @@ TEST(BatchedNodeEngine, StationaryStretchDeliversWithLatencies) {
   };
   ArrivalPattern arrivals{7};
   EngineOptions opts;
+  opts.batched = true;
   opts.record_deliveries = true;
   opts.record_latencies = true;
   LatencyMetrics latency;
-  const RunMetrics m =
-      run_node_engine_batched(factory, arrivals, rng, opts, &latency);
+  const RunMetrics m = run_node_engine(factory, arrivals, rng, opts, &latency);
   ASSERT_TRUE(m.completed);
   ASSERT_EQ(m.delivery_slots.size(), 1u);
   EXPECT_GE(m.delivery_slots[0], 7u);  // cannot deliver before arrival
@@ -377,8 +388,8 @@ TEST(BatchedNodeEngine, ExpectedTransmissionsIsUnbiasedOverStretches) {
     exact_sum += run_node_engine(factory, batched_arrivals(2), exact_rng,
                                  EngineOptions{})
                      .expected_transmissions;
-    batched_sum += run_node_engine_batched(factory, batched_arrivals(2),
-                                           batched_rng, EngineOptions{})
+    batched_sum += run_node_engine(factory, batched_arrivals(2), batched_rng,
+                                   batched_options())
                        .expected_transmissions;
   }
   const double exact_mean = exact_sum / static_cast<double>(runs);
@@ -395,10 +406,9 @@ TEST(BatchedNodeEngine, RejectsUnsortedArrivalsAndEmptyWorkloads) {
     return std::make_unique<AlwaysTransmit>();
   };
   ArrivalPattern unsorted{5, 3, 1};
-  EXPECT_THROW(
-      run_node_engine_batched(factory, unsorted, rng, EngineOptions{}),
-      ContractViolation);
-  EXPECT_THROW(run_node_engine_batched(factory, {}, rng, EngineOptions{}),
+  EXPECT_THROW(run_node_engine(factory, unsorted, rng, batched_options()),
+               ContractViolation);
+  EXPECT_THROW(run_node_engine(factory, {}, rng, batched_options()),
                ContractViolation);
 }
 

@@ -153,10 +153,10 @@ TEST(Observer, BatchedNodeEngineRejectsObservers) {
   };
   Xoshiro256 rng(7);
   EngineOptions opts;
+  opts.batched = true;
   opts.observer = &series;
-  EXPECT_THROW(
-      run_node_engine_batched(factory, batched_arrivals(10), rng, opts),
-      ContractViolation);
+  EXPECT_THROW(run_node_engine(factory, batched_arrivals(10), rng, opts),
+               ContractViolation);
 }
 
 TEST(Observer, WindowEngineReportsHazards) {

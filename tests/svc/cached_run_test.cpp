@@ -18,6 +18,7 @@
 #include "exp/spec_io.hpp"
 #include "sim/observer.hpp"
 #include "svc/result_cache.hpp"
+#include "tests/common/unique_test_dir.hpp"
 
 namespace ucr::svc {
 namespace {
@@ -64,7 +65,7 @@ class KillSwitch final : public exp::ResultSink {
 class CachedRunTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "ucr_cached_run_test";
+    root_ = unique_test_dir();
     fs::remove_all(root_);
   }
   void TearDown() override { fs::remove_all(root_); }
@@ -113,8 +114,7 @@ TEST(CachedRun, ThreadCountDoesNotChangeCacheContentOrOutput) {
   const exp::SpecFile file = load_shrunk("fig1.spec");
   const exp::ExperimentPlan plan =
       exp::compile(file.spec, default_catalogue());
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "ucr_cached_threads_test";
+  const fs::path root = unique_test_dir();
   fs::remove_all(root);
   ResultCache cache_a((root / "a").string());
   ResultCache cache_b((root / "b").string());
@@ -142,8 +142,7 @@ TEST(CachedRun, ObserverPlansRejectTheCache) {
   DownsampledSeries observer(1);
   spec.engine_options.observer = &observer;
   const exp::ExperimentPlan plan = exp::compile(spec);
-  const fs::path root =
-      fs::path(::testing::TempDir()) / "ucr_cached_observer_test";
+  const fs::path root = unique_test_dir();
   fs::remove_all(root);
   ResultCache cache(root.string());
   exp::MemorySink memory;

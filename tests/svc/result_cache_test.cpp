@@ -15,6 +15,7 @@
 #include "exp/cell_task.hpp"
 #include "exp/plan.hpp"
 #include "exp/spec_io.hpp"
+#include "tests/common/unique_test_dir.hpp"
 
 namespace ucr::svc {
 namespace {
@@ -24,7 +25,7 @@ namespace fs = std::filesystem;
 class ResultCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "ucr_result_cache_test";
+    root_ = unique_test_dir();
     fs::remove_all(root_);
     exp::ExperimentSpec spec;
     spec.runs = 2;

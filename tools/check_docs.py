@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation gate for CI (.github/workflows/ci.yml, `docs` job).
 
-Three checks, all hard failures:
+Checks, all hard failures:
 
 1. Relative markdown links in README.md, EXPERIMENTS.md, docs/*.md and
    specs/README.md must resolve to files inside the repository (no 404s
@@ -19,7 +19,10 @@ Three checks, all hard failures:
    markdown heading of that document — e.g. the RNG helpers cite
    docs/ARCHITECTURE.md "Pre-drawn window slots", so renaming that
    section without updating the pointers fails here.
-5. With --cli=<path to ucr_cli>, every protocol name `ucr_cli --list`
+5. Every backticked `run_*_engine*` identifier in those documents must
+   be declared in src/sim/*.hpp — a removed or renamed engine entry point
+   cannot linger in the docs.
+6. With --cli=<path to ucr_cli>, every protocol name `ucr_cli --list`
    prints must appear as a `## <name>` section heading in
    docs/PROTOCOLS.md — the same contract the tier-1 drift test
    (tests/docs/protocols_doc_test.cpp) enforces, re-checked here from
@@ -40,6 +43,10 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SPEC_REF_RE = re.compile(r"specs/[A-Za-z0-9._/-]+\.spec")
 SECTION_REF_RE = re.compile(r"docs/([A-Za-z0-9._-]+\.md) \"([^\"]+)\"")
 HEADING_RE = re.compile(r"^#{1,6} +(.+?)\s*$", re.MULTILINE)
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+ENGINE_NAME_RE = re.compile(r"\brun_\w*_engine\w*")
+ENGINE_DECL_RE = re.compile(
+    r"^[A-Za-z_][\w:<>]*\s+(run_\w*_engine\w*)\s*\(", re.MULTILINE)
 
 
 def iter_doc_files(root: pathlib.Path):
@@ -132,6 +139,26 @@ def check_section_refs(root: pathlib.Path) -> list[str]:
     return errors
 
 
+def check_engine_refs(root: pathlib.Path) -> list[str]:
+    """Every engine entry point a document names in backticks must be
+    declared in a src/sim header."""
+    declared = set()
+    for header in sorted((root / "src" / "sim").glob("*.hpp")):
+        declared.update(
+            ENGINE_DECL_RE.findall(header.read_text(encoding="utf-8")))
+    errors = []
+    for doc in iter_doc_files(root):
+        text = doc.read_text(encoding="utf-8")
+        named = {name for span in CODE_SPAN_RE.findall(text)
+                 for name in ENGINE_NAME_RE.findall(span)}
+        for name in sorted(named - declared):
+            errors.append(
+                f"{doc.relative_to(root)}: names engine '{name}', which no "
+                f"src/sim/*.hpp declares"
+            )
+    return errors
+
+
 def registered_names(cli: str) -> list[str]:
     out = subprocess.run(
         [cli, "--list"], check=True, capture_output=True, text=True
@@ -180,7 +207,8 @@ def main() -> int:
         return 2
 
     errors = (check_links(root) + check_spec_refs(root)
-              + check_spec_coverage(root) + check_section_refs(root))
+              + check_spec_coverage(root) + check_section_refs(root)
+              + check_engine_refs(root))
     if args.cli:
         try:
             errors += check_protocol_catalog(root, args.cli)
@@ -193,7 +221,8 @@ def main() -> int:
         print(f"FAIL: {error}")
     if errors:
         return 1
-    checked = "links + spec refs + spec coverage + section refs" + (
+    checked = ("links + spec refs + spec coverage + section refs"
+               " + engine refs") + (
         " + protocol catalog" if args.cli else ""
     )
     print(f"docs check ok ({checked})")

@@ -310,6 +310,27 @@ std::optional<AbortSink> make_abort_sink(const ucr::CliArgs& args) {
   return AbortSink(*limit, kill);
 }
 
+/// Totals the capped (incomplete) runs of a sweep — the exit status is 1
+/// iff any run hit the slot cap — and names each capped cell on stderr,
+/// one line per cell, so stdout keeps exactly the rows.
+class CountingSink final : public ucr::exp::ResultSink {
+ public:
+  void emit(const ucr::exp::CellInfo& cell,
+            const ucr::AggregateResult& result) override {
+    if (result.incomplete_runs == 0) return;
+    incomplete_ += result.incomplete_runs;
+    std::cerr << "ucr_cli: capped cell: protocol=" << cell.protocol
+              << " k=" << cell.k << " arrival=" << cell.arrival.label()
+              << " channel=" << cell.channel.label()
+              << " incomplete_runs=" << result.incomplete_runs << "/"
+              << result.runs << "\n";
+  }
+  std::uint64_t incomplete() const { return incomplete_; }
+
+ private:
+  std::uint64_t incomplete_ = 0;
+};
+
 /// Splits a comma-separated list, rejecting empty items.
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> items;
@@ -541,36 +562,25 @@ int run_spec(const ucr::CliArgs& args) {
         file.format == ucr::exp::OutputFormat::kCsv
             ? static_cast<ucr::exp::ResultSink*>(&csv)
             : &jsonl;
-    std::uint64_t incomplete = 0;
-    class CountingSink final : public ucr::exp::ResultSink {
-     public:
-      explicit CountingSink(std::uint64_t& total) : total_(&total) {}
-      void emit(const ucr::exp::CellInfo&,
-                const ucr::AggregateResult& result) override {
-        *total_ += result.incomplete_runs;
-      }
-
-     private:
-      std::uint64_t* total_;
-    } counting(incomplete);
+    CountingSink counting;
     std::vector<ucr::exp::ResultSink*> sinks;
     if (abort_sink.has_value()) sinks.push_back(&*abort_sink);
     sinks.push_back(sink);
     sinks.push_back(&counting);
     ucr::exp::run(plan, sinks, run_options);
-    return incomplete == 0 ? 0 : 1;
+    return counting.incomplete() == 0 ? 0 : 1;
   }
 
   ucr::exp::MemorySink memory;
+  CountingSink counting;
   std::vector<ucr::exp::ResultSink*> sinks;
   if (abort_sink.has_value()) sinks.push_back(&*abort_sink);
   sinks.push_back(&memory);
+  sinks.push_back(&counting);
   ucr::exp::run(plan, sinks, run_options);
   const auto& results = memory.results();
   const auto& cells = memory.cells();
-
-  std::uint64_t incomplete = 0;
-  for (const auto& result : results) incomplete += result.incomplete_runs;
+  const std::uint64_t incomplete = counting.incomplete();
 
   if (results.size() == 1) {
     // Single cell: the familiar one-experiment report.
