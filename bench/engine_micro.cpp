@@ -27,6 +27,8 @@
 #include "protocols/window_node.hpp"
 #include "sim/fair_engine.hpp"
 #include "sim/node_engine.hpp"
+#include "sim/observer.hpp"
+#include "sim/runner.hpp"
 #include "svc/result_cache.hpp"
 
 #ifndef UCR_ENGINE_MICRO_SPEC
@@ -234,6 +236,41 @@ void BM_NodeEngine_OneFail(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(slots));
 }
 BENCHMARK(BM_NodeEngine_OneFail)->Arg(100)->Arg(1000);
+
+// Counts station-slots: the active-station count summed over every slot.
+class StationSlotCounter final : public ucr::SlotObserver {
+ public:
+  void on_slot(const ucr::SlotView& view) override {
+    station_slots += view.active;
+  }
+  std::uint64_t station_slots = 0;
+};
+
+// The livelock shape of the dynamic-node sweep: k = 200 under poisson(0.5)
+// arrivals on the exact node engine, through the catalogue's typed view
+// (run_single_node), where One-Fail Adaptive and Log-Fails Adaptive (2)
+// keep nearly every station active up to the slot cap. Items processed =
+// station-slots, so the reported rate inverts to ns per station-slot.
+void BM_NodeEngine_Livelock(benchmark::State& state, const char* protocol) {
+  const auto catalogue = ucr::default_catalogue();
+  const ucr::ProtocolFactory& factory =
+      ucr::find_protocol(catalogue, protocol);
+  ucr::Xoshiro256 arrival_rng = ucr::Xoshiro256::stream(14, 0);
+  const auto arrivals = ucr::poisson_arrivals(200, 0.5, arrival_rng);
+  StationSlotCounter counter;
+  ucr::EngineOptions options;
+  options.max_slots = 20000;
+  options.observer = &counter;
+  std::uint64_t run = 0;
+  for (auto _ : state) {
+    const auto m = ucr::run_single_node(factory, arrivals, run++, 15, options);
+    benchmark::DoNotOptimize(m.slots);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(counter.station_slots));
+}
+BENCHMARK_CAPTURE(BM_NodeEngine_Livelock, OneFail, "One-Fail Adaptive");
+BENCHMARK_CAPTURE(BM_NodeEngine_Livelock, LogFails2,
+                  "Log-Fails Adaptive (2)");
 
 // Whole-pipeline sweep from a versioned spec file. One iteration = the
 // complete sweep the file describes (compile is outside the loop: the

@@ -20,22 +20,4 @@ std::string to_string(SlotOutcome outcome) {
   return "unknown";
 }
 
-Feedback make_feedback(SlotOutcome outcome, bool transmitted,
-                       bool collision_detection) {
-  Feedback fb;
-  fb.transmitted = transmitted;
-  if (outcome == SlotOutcome::kSuccess) {
-    if (transmitted) {
-      fb.delivered_mine = true;
-    } else {
-      fb.heard_delivery = true;
-    }
-  } else if (outcome == SlotOutcome::kCollision && collision_detection) {
-    fb.heard_collision = true;
-  }
-  // Without collision detection, silence and collision are
-  // indistinguishable noise to every station: all flags stay false.
-  return fb;
-}
-
 }  // namespace ucr

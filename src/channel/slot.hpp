@@ -48,8 +48,24 @@ struct Feedback {
 /// Derives the per-station feedback from the ground truth.
 /// `transmitted` is whether this station transmitted this slot;
 /// `collision_detection` selects the channel model (the paper's model is
-/// without CD, the default).
-Feedback make_feedback(SlotOutcome outcome, bool transmitted,
-                       bool collision_detection = false);
+/// without CD, the default). Inline: the per-node engine calls it once per
+/// station per slot.
+inline Feedback make_feedback(SlotOutcome outcome, bool transmitted,
+                              bool collision_detection = false) {
+  Feedback fb;
+  fb.transmitted = transmitted;
+  if (outcome == SlotOutcome::kSuccess) {
+    if (transmitted) {
+      fb.delivered_mine = true;
+    } else {
+      fb.heard_delivery = true;
+    }
+  } else if (outcome == SlotOutcome::kCollision && collision_detection) {
+    fb.heard_collision = true;
+  }
+  // Without collision detection, silence and collision are
+  // indistinguishable noise to every station: all flags stay false.
+  return fb;
+}
 
 }  // namespace ucr

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/node_engine_impl.hpp"
+
 namespace ucr {
 
 DynamicOneFailState::DynamicOneFailState(const OneFailParams& params)
@@ -73,9 +75,11 @@ ProtocolFactory make_dynamic_one_fail_factory(const OneFailParams& params,
   f.fair_slot = [params](std::uint64_t) {
     return std::make_unique<DynamicOneFail>(params);
   };
-  f.node = [params](std::uint64_t, Xoshiro256&) {
-    return std::make_unique<DynamicOneFailNode>(params);
-  };
+  // The typed engine instantiation: this file sees the step definitions.
+  f.node = NodeView::typed<DynamicOneFailNode>(
+      [params](std::uint64_t, Xoshiro256&) {
+        return std::make_unique<DynamicOneFailNode>(params);
+      });
   return f;
 }
 

@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/mathx.hpp"
+#include "sim/node_engine_impl.hpp"
 
 namespace ucr {
 
@@ -24,16 +25,24 @@ void OneFailParams::validate() const {
               "One-Fail Adaptive requires delta <= sum_{j=1..5}(5/6)^j");
 }
 
+namespace {
+
+// Line 8: 1/(1 + log2(sigma + 1)).
+double bt_probability(std::uint64_t sigma) {
+  return 1.0 / (1.0 + log2x(static_cast<double>(sigma) + 1.0));
+}
+
+}  // namespace
+
 OneFailState::OneFailState(const OneFailParams& params)
-    : params_(params), kappa_(params.delta + 1.0) {
+    : params_(params),
+      kappa_(params.delta + 1.0),
+      bt_prob_(bt_probability(0)) {
   params_.validate();
 }
 
 double OneFailState::transmit_probability() const {
-  if (is_bt_step()) {
-    // Line 8: 1/(1 + log2(sigma + 1)).
-    return 1.0 / (1.0 + log2x(static_cast<double>(sigma_) + 1.0));
-  }
+  if (is_bt_step()) return bt_prob_;
   // Line 10: 1/kappa~. kappa~ >= delta + 1 > 1, so this is a probability.
   return 1.0 / kappa_;
 }
@@ -52,6 +61,7 @@ void OneFailState::advance(bool heard_delivery) {
       kappa_ = std::max(kappa_ - params_.delta - 1.0, floor);  // Task 2, AT
     }
   }
+  if (heard_delivery) bt_prob_ = bt_probability(sigma_);
   ++step_;
 }
 
@@ -86,9 +96,11 @@ ProtocolFactory make_one_fail_factory(const OneFailParams& params,
   f.fair_slot = [params](std::uint64_t) {
     return std::make_unique<OneFailAdaptive>(params);
   };
-  f.node = [params](std::uint64_t, Xoshiro256&) {
-    return std::make_unique<OneFailAdaptiveNode>(params);
-  };
+  // The typed engine instantiation: this file sees the step definitions.
+  f.node = NodeView::typed<OneFailAdaptiveNode>(
+      [params](std::uint64_t, Xoshiro256&) {
+        return std::make_unique<OneFailAdaptiveNode>(params);
+      });
   return f;
 }
 

@@ -65,6 +65,7 @@ class OneFailState {
   OneFailParams params_;
   double kappa_;          // the density estimator kappa~
   std::uint64_t sigma_ = 0;  // messages received so far
+  double bt_prob_;           // line 8's probability, recomputed per sigma_
   std::uint64_t step_ = 1;   // current communication step (1-based)
 };
 

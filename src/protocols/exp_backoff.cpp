@@ -37,10 +37,7 @@ ProtocolFactory make_exp_backoff_factory(const ExpBackoffParams& params,
   f.window = [params](std::uint64_t) {
     return std::make_unique<ExponentialBackoff>(params);
   };
-  f.node = [params](std::uint64_t, Xoshiro256& rng) {
-    return std::make_unique<WindowNodeProtocol>(
-        std::make_unique<ExponentialBackoff>(params), rng);
-  };
+  f.node = window_node_view(f.window);
   return f;
 }
 

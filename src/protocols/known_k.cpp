@@ -1,6 +1,7 @@
 #include "protocols/known_k.hpp"
 
 #include "common/check.hpp"
+#include "sim/node_engine_impl.hpp"
 
 namespace ucr {
 
@@ -59,9 +60,11 @@ ProtocolFactory make_known_k_factory(std::string name) {
   f.fair_slot = [](std::uint64_t k) {
     return std::make_unique<KnownKGenie>(k);
   };
-  f.node = [](std::uint64_t k, Xoshiro256&) {
-    return std::make_unique<KnownKGenieNode>(k);
-  };
+  // The typed engine instantiation: this file sees the step definitions.
+  f.node = NodeView::typed<KnownKGenieNode>(
+      [](std::uint64_t k, Xoshiro256&) {
+        return std::make_unique<KnownKGenieNode>(k);
+      });
   return f;
 }
 

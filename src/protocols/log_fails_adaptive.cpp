@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/mathx.hpp"
+#include "sim/node_engine_impl.hpp"
 
 namespace ucr {
 
@@ -58,12 +59,12 @@ void LogFailsState::advance(bool heard_delivery) {
       fails_ = 0;
     }
   }
-  ++step_;
+  if (++phase_ == bt_period_) phase_ = 0;
 }
 
 std::uint64_t LogFailsState::constant_probability_slots() const {
   if (is_bt_step()) return 1;  // the next step is AT with p = 1/kappa
-  const std::uint64_t to_bt_step = bt_period_ - step_ % bt_period_;
+  const std::uint64_t to_bt_step = bt_period_ - phase_;
   // A SEARCH->TRACK switch can leave fails_ at or above the (smaller)
   // TRACK threshold; the very next AT fail then updates kappa.
   const std::uint64_t threshold = fail_threshold();
@@ -81,7 +82,9 @@ void LogFailsState::advance_non_delivery(std::uint64_t count) {
     return;
   }
   fails_ += count;
-  step_ += count;
+  // count <= bt_period_ - phase_: at most the final step reaches BT.
+  phase_ += count;
+  if (phase_ == bt_period_) phase_ = 0;
   if (fails_ >= fail_threshold()) {
     if (searching_) {
       kappa_ *= 1.0 + params_.xi_delta;
@@ -144,9 +147,11 @@ ProtocolFactory make_log_fails_factory(const LogFailsParams& params,
   f.fair_slot = [params](std::uint64_t k) {
     return std::make_unique<LogFailsAdaptive>(params, k);
   };
-  f.node = [params](std::uint64_t k, Xoshiro256&) {
-    return std::make_unique<LogFailsAdaptiveNode>(params, k);
-  };
+  // The typed engine instantiation: this file sees the step definitions.
+  f.node = NodeView::typed<LogFailsAdaptiveNode>(
+      [params](std::uint64_t k, Xoshiro256&) {
+        return std::make_unique<LogFailsAdaptiveNode>(params, k);
+      });
   return f;
 }
 

@@ -69,7 +69,7 @@ class LogFailsState {
   /// `k` is used only to derive epsilon when params.epsilon == 0.
   LogFailsState(const LogFailsParams& params, std::uint64_t k);
 
-  bool is_bt_step() const { return step_ % bt_period_ == 0; }
+  bool is_bt_step() const { return phase_ == 0; }
   double transmit_probability() const;
   void advance(bool heard_delivery);
 
@@ -113,7 +113,9 @@ class LogFailsState {
   double kappa_ = kKappaFloor;
   bool searching_ = true;
   std::uint64_t fails_ = 0;
-  std::uint64_t step_ = 1;
+  // step % bt_period_ of the 1-based communication step, advanced
+  // incrementally so that no step divides.
+  std::uint64_t phase_ = 1;
 };
 
 /// Fair-engine view.

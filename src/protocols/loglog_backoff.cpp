@@ -32,10 +32,7 @@ ProtocolFactory make_loglog_factory(const LogLogParams& params,
   f.window = [params](std::uint64_t) {
     return std::make_unique<LogLogIteratedBackoff>(params);
   };
-  f.node = [params](std::uint64_t, Xoshiro256& rng) {
-    return std::make_unique<WindowNodeProtocol>(
-        std::make_unique<LogLogIteratedBackoff>(params), rng);
-  };
+  f.node = window_node_view(f.window);
   return f;
 }
 

@@ -37,10 +37,7 @@ ProtocolFactory make_poly_backoff_factory(const PolyBackoffParams& params,
   f.window = [params](std::uint64_t) {
     return std::make_unique<PolynomialBackoff>(params);
   };
-  f.node = [params](std::uint64_t, Xoshiro256& rng) {
-    return std::make_unique<WindowNodeProtocol>(
-        std::make_unique<PolynomialBackoff>(params), rng);
-  };
+  f.node = window_node_view(f.window);
   return f;
 }
 

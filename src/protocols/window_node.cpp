@@ -1,6 +1,7 @@
 #include "protocols/window_node.hpp"
 
 #include "common/check.hpp"
+#include "sim/node_engine_impl.hpp"
 
 namespace ucr {
 
@@ -50,6 +51,15 @@ void WindowNodeProtocol::on_non_delivery_slots(std::uint64_t count) {
   UCR_CHECK(count <= certified,
             "bulk advance beyond the certified stationary stretch");
   offset_ += count;
+}
+
+NodeView window_node_view(
+    std::function<std::unique_ptr<WindowSchedule>(std::uint64_t k)> schedule) {
+  // The typed engine instantiation: this file sees the step definitions.
+  return NodeView::typed<WindowNodeProtocol>(
+      [schedule = std::move(schedule)](std::uint64_t k, Xoshiro256& rng) {
+        return std::make_unique<WindowNodeProtocol>(schedule(k), rng);
+      });
 }
 
 }  // namespace ucr

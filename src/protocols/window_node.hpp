@@ -32,10 +32,13 @@
 // (tests/integration/spec_golden_test.cpp).
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "common/rng.hpp"
 #include "sim/protocol.hpp"
+#include "sim/runner.hpp"
 
 namespace ucr {
 
@@ -77,5 +80,11 @@ class WindowNodeProtocol final : public NodeProtocol {
   std::uint64_t offset_ = 0;
   std::uint64_t tx_offset_ = 0;
 };
+
+/// The per-node view of a window protocol: one WindowNodeProtocol per
+/// station around a fresh schedule from `schedule` (a ProtocolFactory's
+/// `window` view), with the adapter's typed engine instantiation.
+NodeView window_node_view(
+    std::function<std::unique_ptr<WindowSchedule>(std::uint64_t k)> schedule);
 
 }  // namespace ucr

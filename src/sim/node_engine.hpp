@@ -14,6 +14,19 @@
 // of the non-success run plus one binomial silence/collision split in bulk
 // and materializes only the state-changing (success) slot. Arrivals
 // truncate every stretch, so Poisson/burst workloads stay exact.
+//
+// One engine body, typed per protocol: run_node_engine<P> is a function
+// template over the stations' protocol type, defined in
+// sim/node_engine_impl.hpp, which only instantiating translation units
+// include. The generic instantiation P = NodeProtocol sits behind the
+// non-template run_node_engine(const NodeFactory&, ...) below and serves
+// tests, benches and user protocols through virtual calls. Each catalogued
+// final node class is instantiated in its own .cpp, where its step
+// definitions are visible, and is reached through run_single_node
+// (NodeView::typed, sim/runner.hpp); there every per-station step is a
+// direct call the compiler inlines. Both paths consume the engine stream
+// identically, so they produce the same bytes
+// (tests/integration/node_typed_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -79,5 +92,15 @@ RunMetrics run_node_engine(const NodeFactory& factory,
                            const ArrivalPattern& arrivals, Xoshiro256& rng,
                            const EngineOptions& options,
                            LatencyMetrics* latency = nullptr);
+
+/// The same engine over stations of protocol type P (a final NodeProtocol
+/// subclass): `factory` hands out std::unique_ptr<P>, so every per-station
+/// step is a direct call. Defined in sim/node_engine_impl.hpp; include it
+/// in the one translation unit that instantiates P.
+template <typename P>
+RunMetrics run_node_engine(
+    const std::function<std::unique_ptr<P>(Xoshiro256& rng)>& factory,
+    const ArrivalPattern& arrivals, Xoshiro256& rng,
+    const EngineOptions& options, LatencyMetrics* latency = nullptr);
 
 }  // namespace ucr

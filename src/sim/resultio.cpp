@@ -1,6 +1,9 @@
 #include "sim/resultio.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <iterator>
 #include <istream>
 #include <ostream>
 
@@ -44,9 +47,13 @@ double parse_double(const std::string& cell) {
 }
 
 std::uint64_t parse_u64(const std::string& cell) {
+  // strtoull alone would accept a sign (wrapping "-1" to 2^64 - 1),
+  // leading blanks and out-of-range values (saturated): digits only.
+  const bool digits = !cell.empty() && cell[0] >= '0' && cell[0] <= '9';
   char* end = nullptr;
+  errno = 0;
   const std::uint64_t v = std::strtoull(cell.c_str(), &end, 10);
-  UCR_REQUIRE(end != cell.c_str() && *end == '\0',
+  UCR_REQUIRE(digits && errno != ERANGE && *end == '\0',
               "malformed integer cell '" + cell + "'");
   return v;
 }
@@ -146,8 +153,8 @@ std::vector<AggregateRow> read_aggregate_csv(std::istream& is) {
   UCR_REQUIRE(static_cast<bool>(std::getline(is, line)),
               "empty CSV input");
   const auto header = parse_csv_line(line);
-  UCR_REQUIRE(header.size() == kColumns && header[0] == kHeader[0] &&
-                  header[kColumns - 1] == kHeader[kColumns - 1],
+  UCR_REQUIRE(std::equal(header.begin(), header.end(), std::begin(kHeader),
+                         std::end(kHeader)),
               "unexpected CSV header");
 
   std::vector<AggregateRow> rows;

@@ -54,6 +54,17 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
   return result;
 }
 
+RunMetrics NodeView::run(const ArrivalPattern& arrivals, Xoshiro256& rng,
+                         const EngineOptions& options) const {
+  if (!views_) throw std::bad_function_call();
+  if (views_->engine) return views_->engine(arrivals, rng, options);
+  const std::uint64_t k = arrivals.size();
+  const NodeFactory factory = [&](Xoshiro256& station_rng) {
+    return views_->make(k, station_rng);
+  };
+  return run_node_engine(factory, arrivals, rng, options);
+}
+
 RunMetrics run_single_fair(const ProtocolFactory& factory, std::uint64_t k,
                            std::uint64_t run_index, std::uint64_t seed,
                            const EngineOptions& options) {
@@ -74,12 +85,8 @@ RunMetrics run_single_node(const ProtocolFactory& factory,
                            const EngineOptions& options) {
   UCR_REQUIRE(static_cast<bool>(factory.node),
               "protocol '" + factory.name + "' has no per-node view");
-  const std::uint64_t k = arrivals.size();
   Xoshiro256 rng = Xoshiro256::stream(seed, run_index);
-  const NodeFactory node_factory = [&](Xoshiro256& node_rng) {
-    return factory.node(k, node_rng);
-  };
-  return run_node_engine(node_factory, arrivals, rng, options);
+  return factory.node.run(arrivals, rng, options);
 }
 
 AggregateResult run_fair_experiment(const ProtocolFactory& factory,

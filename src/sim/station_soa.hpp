@@ -1,45 +1,51 @@
-// Structure-of-arrays station state for the per-node engines.
+// Structure-of-arrays station state for the per-node engine.
 //
-// The engines used to chase a vector of per-station structs (protocol
-// pointer, arrival slot, flags, counters) in their per-slot hot loops.
+// The engine used to chase a vector of per-station structs (protocol
+// pointer, arrival slot, flags, counters) in its per-slot hot loops.
 // This class keeps the same logical state as parallel arrays instead:
 //
-//   protocols_     — the polymorphic protocol automata (pointer-chased by
-//                    necessity: protocol state machines are heterogeneous);
+//   protocols_     — the protocol automata, typed by the engine
+//                    instantiation: StationSoA<P> holds std::unique_ptr<P>,
+//                    so a catalogued final class P (sim/node_engine_impl.hpp)
+//                    makes every step a direct, inlinable call, and the
+//                    generic P = NodeProtocol fallback keeps virtual calls
+//                    for user protocols;
 //   arrival_slot_  — latency bookkeeping, one contiguous array;
 //   sent_          — per-station transmission attempts (the energy ledger);
-//   probs_         — this slot's transmission probabilities, gathered once
-//                    per slot so every later pass is a tight scan over a
-//                    contiguous double array;
+//   probs_         — the batched mode's per-slot transmission
+//                    probabilities, gathered once per slot so the success
+//                    attribution is a tight scan over a contiguous array;
 //   transmitted_   — this slot's coin flips, one byte per station.
 //
-// The per-slot passes (probability gather, Bernoulli draws, feedback scan,
-// success attribution) each traverse exactly one or two of these arrays,
-// which is what lets the engines' per-slot work stay branch-light and
-// cache-friendly at large active-station counts. RNG draw order is the
-// per-station index order, identical to the old struct-of-vectors loops,
-// so engine outputs are bit-identical to the pre-SoA layout
-// (docs/ARCHITECTURE.md "SoA station state").
+// The per-slot passes (the exact mode's fused probability-and-coin pass,
+// the batched mode's law gather and Bernoulli draws, the feedback scan,
+// success attribution) each traverse one or two of these arrays. RNG draw
+// order is the per-station index order, identical to the old
+// struct-of-vectors loops, so engine outputs are bit-identical to the
+// pre-SoA layout (docs/ARCHITECTURE.md "SoA station state").
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "sim/node_engine.hpp"
 #include "sim/protocol.hpp"
 
 namespace ucr {
 
 /// Parallel-array station state of run_node_engine, with and without
-/// EngineOptions::batched. Persistent arrays (protocol, arrival slot,
-/// attempt count) stay index-aligned across swap_remove; per-slot scratch
-/// (probabilities, transmitted flags) is valid only between the gather and
-/// the end of the same slot.
+/// EngineOptions::batched, over stations of protocol type P (a final
+/// NodeProtocol subclass, or NodeProtocol itself for the generic engine).
+/// Persistent arrays (protocol, arrival slot, attempt count) stay
+/// index-aligned across swap_remove; per-slot scratch (probabilities,
+/// transmitted flags) is valid only between the gather and the end of the
+/// same slot.
+template <typename P>
 class StationSoA {
  public:
   /// Joint law of one slot over the current active set, accumulated during
@@ -54,35 +60,58 @@ class StationSoA {
     double p_sum = 0.0;
   };
 
-  void reserve(std::size_t n);
+  /// What the exact mode's fused pass returns: the probability sum (the
+  /// observer's mean-probability numerator) and the transmitter count.
+  struct SlotDraw {
+    double p_sum = 0.0;
+    std::uint64_t transmitters = 0;
+  };
+
+  void reserve(std::size_t n) {
+    protocols_.reserve(n);
+    arrival_slot_.reserve(n);
+    sent_.reserve(n);
+  }
   std::size_t size() const { return protocols_.size(); }
   bool empty() const { return protocols_.empty(); }
 
   /// Activates one station: a fresh protocol instance from `factory` (which
   /// may consume `rng`), tagged with its arrival slot.
-  void activate(const NodeFactory& factory, Xoshiro256& rng,
-                std::uint64_t arrival_slot);
+  template <typename Factory>
+  void activate(const Factory& factory, Xoshiro256& rng,
+                std::uint64_t arrival_slot) {
+    protocols_.push_back(factory(rng));
+    arrival_slot_.push_back(arrival_slot);
+    sent_.push_back(0);
+  }
 
-  /// Pass 1 (exact mode): gathers every station's transmission
-  /// probability into the probs() array, in index order. Returns the sum
-  /// (the observer's mean-probability numerator). Throws on p outside
+  /// Exact mode: each station's transmission probability followed at once
+  /// by its Bernoulli coin, in index order. Protocols draw nothing in
+  /// transmit_probability(), so this consumes the engine stream exactly
+  /// like a full gather followed by a full draw pass. Records the flips in
+  /// transmitted() and charges the energy ledger. Throws on p outside
   /// [0, 1].
-  double gather_probabilities() {
+  SlotDraw draw_slot(Xoshiro256& rng) {
     const std::size_t n = protocols_.size();
-    probs_.resize(n);
-    double p_sum = 0.0;
+    transmitted_.resize(n);
+    SlotDraw draw;
     for (std::size_t i = 0; i < n; ++i) {
       const double p = protocols_[i]->transmit_probability();
       UCR_CHECK(p >= 0.0 && p <= 1.0,
                 "protocol produced a probability outside [0, 1]");
-      probs_[i] = p;
-      p_sum += p;
+      draw.p_sum += p;
+      const bool t = rng.next_bernoulli(p);
+      transmitted_[i] = t;
+      sent_[i] += t;
+      draw.transmitters += t;
     }
-    return p_sum;
+    return draw;
   }
 
-  /// Pass 1 (batched mode): gather_probabilities plus the slot's joint
-  /// category law and the min stationarity horizon, in one scan.
+  /// Batched mode: every station's transmission probability into the
+  /// probs() array, in index order, plus the slot's joint category law and
+  /// the min stationarity horizon, in one scan. Throws on p outside
+  /// [0, 1].
   SlotLaw gather_slot_law() {
     const std::size_t n = protocols_.size();
     probs_.resize(n);
@@ -100,10 +129,10 @@ class StationSoA {
     return law;
   }
 
-  /// Pass 2: one Bernoulli(probs()[i]) coin per station, in index order —
-  /// the same RNG consumption as the historical per-struct loop. Records
-  /// the flips in transmitted(), charges the energy ledger, and returns
-  /// the transmitter count.
+  /// Batched mode, after gather_slot_law: one Bernoulli(probs()[i]) coin
+  /// per station, in index order — the same RNG consumption as the
+  /// historical per-struct loop. Records the flips in transmitted(),
+  /// charges the energy ledger, and returns the transmitter count.
   std::uint64_t draw_transmissions(Xoshiro256& rng) {
     const std::size_t n = probs_.size();
     transmitted_.resize(n);
@@ -118,7 +147,7 @@ class StationSoA {
   }
 
   /// Index of the `target`-th transmitter (0-based) of this slot's flips.
-  /// Requires target < the count returned by draw_transmissions.
+  /// Requires target < this slot's transmitter count.
   std::size_t nth_transmitter(std::uint64_t target) const {
     for (std::size_t i = 0; i < transmitted_.size(); ++i) {
       if (!transmitted_[i]) continue;
@@ -129,7 +158,7 @@ class StationSoA {
     return transmitted_.size();
   }
 
-  NodeProtocol& protocol(std::size_t i) { return *protocols_[i]; }
+  P& protocol(std::size_t i) { return *protocols_[i]; }
   const std::vector<double>& probs() const { return probs_; }
   bool transmitted(std::size_t i) const { return transmitted_[i] != 0; }
   std::uint64_t arrival_slot(std::size_t i) const { return arrival_slot_[i]; }
@@ -139,14 +168,26 @@ class StationSoA {
   /// Removes station i by swapping with the last station (order is
   /// irrelevant to the model). Per-slot scratch is not remapped — it is
   /// stale after any removal.
-  void swap_remove(std::size_t i);
+  void swap_remove(std::size_t i) {
+    UCR_CHECK(i < protocols_.size(), "swap_remove index out of range");
+    std::swap(protocols_[i], protocols_.back());
+    protocols_.pop_back();
+    arrival_slot_[i] = arrival_slot_.back();
+    arrival_slot_.pop_back();
+    sent_[i] = sent_.back();
+    sent_.pop_back();
+  }
 
   /// Largest attempt count among still-active stations (the end-of-run
   /// energy fold for stations that never drained).
-  std::uint64_t max_sent() const;
+  std::uint64_t max_sent() const {
+    std::uint64_t max = 0;
+    for (const std::uint64_t s : sent_) max = std::max(max, s);
+    return max;
+  }
 
  private:
-  std::vector<std::unique_ptr<NodeProtocol>> protocols_;
+  std::vector<std::unique_ptr<P>> protocols_;
   std::vector<std::uint64_t> arrival_slot_;
   std::vector<std::uint64_t> sent_;
   // Per-slot scratch, index-aligned with the persistent arrays.

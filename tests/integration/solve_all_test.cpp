@@ -44,7 +44,6 @@ TEST_P(SolveAll, FairEngineSolves) {
 
 TEST_P(SolveAll, NodeEngineSolves) {
   const auto& [name, k] = GetParam();
-  if (k > 300) GTEST_SKIP() << "per-node engine kept to small k in tests";
   const auto factory = factory_by_name(name);
   const AggregateResult res =
       run_node_experiment(factory, batched_arrivals(k), 3, 977, {});

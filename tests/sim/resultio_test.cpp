@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
+#include "common/rng.hpp"
 #include "protocols/known_k.hpp"
 
 namespace ucr {
@@ -163,6 +168,167 @@ TEST(ResultIo, RejectsGarbage) {
       "p75,p95,max,mean_ratio,latency_p50,latency_p95,latency_p99,"
       "spec_hash\nX,1,2,0,1,1,1,1,1,1,1,1,1,0,0,0,h\n");
   EXPECT_THROW(read_aggregate_csv(seventeen_columns), ContractViolation);
+}
+
+TEST(ResultIo, RejectsSignedOverflowingAndPaddedIntegers) {
+  // strtoull alone would wrap "-1" to 2^64 - 1, saturate an overflow and
+  // skip leading blanks: all three must be rejected, not misread.
+  for (const std::string k :
+       {"-1", "+1", " 1", "18446744073709551616", "99999999999999999999"}) {
+    std::stringstream in(
+        "protocol,k,runs,incomplete_runs,mean_makespan,stddev,min,p25,"
+        "median,p75,p95,max,mean_ratio,latency_p50,latency_p95,latency_p99,"
+        "energy_mean,energy_max,spec_hash\nX," +
+        k + ",2,0,1,1,1,1,1,1,1,1,1,0,0,0,0,0,h\n");
+    EXPECT_THROW(read_aggregate_csv(in), ContractViolation) << k;
+  }
+}
+
+TEST(ResultIo, RejectsReorderedHeader) {
+  // Same column count and the same first and last names, but two middle
+  // columns swapped: the rows would be misread, so the header is refused.
+  std::stringstream in(
+      "protocol,k,runs,incomplete_runs,mean_makespan,stddev,min,p25,median,"
+      "p75,p95,max,mean_ratio,latency_p50,latency_p95,latency_p99,"
+      "energy_max,energy_mean,spec_hash\nX,1,2,0,1,1,1,1,1,1,1,1,1,0,0,0,"
+      "0,0,h\n");
+  EXPECT_THROW(read_aggregate_csv(in), ContractViolation);
+}
+
+/// A CSV the program writes itself: a real fair-engine row plus hand rows
+/// whose names need quoting.
+std::string written_csv() {
+  std::vector<AggregateRow> rows;
+  rows.push_back(AggregateRow::from(
+      run_fair_experiment(make_known_k_factory(), 50, 4, 1, {})));
+  AggregateRow quoted;
+  quoted.protocol = "name, with \"quotes\"";
+  quoted.k = 7;
+  quoted.runs = 3;
+  quoted.incomplete_runs = 1;
+  quoted.mean_makespan = 1234.5;
+  quoted.latency_p99 = 17.25;
+  quoted.spec_hash = "0123456789abcdef";
+  rows.push_back(quoted);
+  AggregateRow plain;
+  plain.protocol = "Log-Fails Adaptive (2)";
+  plain.k = 100;
+  plain.runs = 5;
+  rows.push_back(plain);
+  std::stringstream out;
+  write_aggregate_csv(out, rows);
+  return out.str();
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::string line;
+  std::istringstream in(text);
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines,
+                       const std::string& eol) {
+  std::string text;
+  for (const std::string& line : lines) text += line + eol;
+  return text;
+}
+
+/// One random mutation of a written CSV: truncation, a dropped or
+/// duplicated column, junk bytes, a huge, negative or NaN number, CRLF
+/// line endings, or empty lines.
+std::string mutate(const std::string& text, Xoshiro256& rng) {
+  const auto pick = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng.next_below(bound));
+  };
+  std::vector<std::string> lines = split_lines(text);
+  std::string& line = lines[pick(lines.size())];
+  std::vector<std::string> cells{line};
+  try {
+    cells = parse_csv_line(line);
+  } catch (const ContractViolation&) {
+    // An earlier round left an open quote: treat the line as one cell.
+  }
+  const std::size_t cell = pick(cells.size());
+  const auto rejoin = [&] {
+    std::string joined;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (i > 0) joined += ',';
+      joined += CsvWriter::escape(cells[i]);
+    }
+    line = joined;
+  };
+  switch (pick(7)) {
+    case 0:  // truncation at any byte
+      return text.substr(0, pick(text.size() + 1));
+    case 1:  // a dropped column
+      cells.erase(cells.begin() + static_cast<std::ptrdiff_t>(cell));
+      rejoin();
+      break;
+    case 2:  // a duplicated column
+      cells.insert(cells.begin() + static_cast<std::ptrdiff_t>(cell),
+                   cells[cell]);
+      rejoin();
+      break;
+    case 3: {  // junk bytes, quotes and separators included
+      static const std::string junk = "\"\",\r\t x-+.e9\x01\xff";
+      std::string bytes;
+      for (std::size_t i = 0, n = 1 + pick(6); i < n; ++i) {
+        bytes += junk[pick(junk.size())];
+      }
+      line.insert(pick(line.size() + 1), bytes);
+      break;
+    }
+    case 4: {  // a huge, negative, NaN or infinite number
+      static const char* const numbers[] = {
+          "1e400", "-1e400", "18446744073709551616", "-3", "-0.5",
+          "nan", "NaN", "inf", "-inf", "1e-400", "0x1p3", ""};
+      cells[cell] = numbers[pick(std::size(numbers))];
+      rejoin();
+      break;
+    }
+    case 5:  // CRLF line endings
+      return join_lines(lines, "\r\n");
+    default:  // empty lines
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(
+                                       pick(lines.size() + 1)),
+                   "");
+      break;
+  }
+  return join_lines(lines, "\n");
+}
+
+TEST(ResultIo, MutatedCsvIsRejectedLoudlyOrReadWhole) {
+  // Deterministic mutation fuzz over a CSV the program wrote: every input
+  // either parses into rows or throws ContractViolation — no other
+  // exception, no crash (run under ASan in the sanitizer CI jobs).
+  const std::string original = written_csv();
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Xoshiro256 rng = Xoshiro256::stream(20261017, seed);
+    std::string text = original;
+    for (std::uint64_t round = 0, n = 1 + rng.next_below(3); round < n;
+         ++round) {
+      if (text.empty()) break;
+      text = mutate(text, rng);
+    }
+    std::istringstream in(text);
+    try {
+      const std::vector<AggregateRow> rows = read_aggregate_csv(in);
+      ++accepted;
+      EXPECT_LE(rows.size(), 3u) << "seed " << seed;
+    } catch (const ContractViolation&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << seed << ": " << e.what() << "\n" << text;
+    }
+  }
+  // Both outcomes occur, so the suite exercises the parser's accept and
+  // reject paths alike.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ResultIo, SkipsBlankLines) {
