@@ -1,6 +1,7 @@
 #include "common/json.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -25,10 +26,12 @@ bool Value::as_bool() const {
 
 double Value::as_double() const {
   if (type_ != Type::kNumber) type_error("number", type_);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text_.c_str(), &end);
-  UCR_REQUIRE(end == text_.c_str() + text_.size() && errno != ERANGE,
+  // from_chars reads the subnormals format_double_shortest writes (strtod
+  // flags them ERANGE); overflow and underflow to zero stay errors.
+  double value = 0.0;
+  const char* end = text_.data() + text_.size();
+  const auto [ptr, ec] = std::from_chars(text_.data(), end, value);
+  UCR_REQUIRE(ptr == end && ec == std::errc(),
               "json: number '" + text_ + "' does not fit a double");
   return value;
 }

@@ -22,18 +22,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// The exact CSV header line the streaming sink emits on shard 0.
-const std::string& csv_header_line() {
-  static const std::string header = [] {
-    std::ostringstream out;
-    write_aggregate_header(out);
-    std::string text = out.str();
-    if (!text.empty() && text.back() == '\n') text.pop_back();
-    return text;
-  }();
-  return header;
-}
-
 /// Splits sink output into lines (no terminators); requires the text to
 /// end at a line boundary — a torn final line means a worker died
 /// mid-write, which must read as failure, not as a short row count.
@@ -114,12 +102,12 @@ void validate_shard_output(const std::string& text, exp::OutputFormat format,
   if (format == exp::OutputFormat::kCsv && shard_index == 0) {
     // The shard-0-only header contract: shard 0 opens with exactly the
     // aggregate CSV header, every other shard starts straight at rows.
-    UCR_REQUIRE(!lines.empty() && lines[0] == csv_header_line(),
+    UCR_REQUIRE(!lines.empty() && lines[0] == aggregate_csv_header(),
                 source + ": missing or wrong CSV header on shard 0");
     first_row = 1;
   }
   if (format == exp::OutputFormat::kCsv && shard_index != 0) {
-    UCR_REQUIRE(lines.empty() || lines[0] != csv_header_line(),
+    UCR_REQUIRE(lines.empty() || lines[0] != aggregate_csv_header(),
                 source + ": unexpected CSV header (only shard 0 emits it)");
   }
 

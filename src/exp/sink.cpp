@@ -16,49 +16,33 @@ void CsvStreamSink::begin(const ExperimentPlan& plan) {
 
 void CsvStreamSink::emit(const CellInfo& cell, const AggregateResult& result) {
   (void)cell;
-  AggregateRow row = AggregateRow::from(result);
-  row.spec_hash = spec_hash_;
-  write_aggregate_row(*os_, row);
+  write_aggregate_row(*os_, result, spec_hash_);
   if (flush_each_row_) os_->flush();
 }
 
 void CsvStreamSink::end() { os_->flush(); }
-
-std::string json_escape(const std::string& text) {
-  return json::escape(text);
-}
 
 void JsonlSink::begin(const ExperimentPlan& plan) {
   spec_hash_ = plan.spec_hash;
 }
 
 void JsonlSink::emit(const CellInfo& cell, const AggregateResult& result) {
-  std::ostream& os = *os_;
-  os << "{\"cell\":" << cell.index                                   //
-     << ",\"spec_hash\":\"" << spec_hash_ << "\""                    //
-     << ",\"protocol\":\"" << json_escape(result.protocol) << "\""   //
-     << ",\"k\":" << result.k                                        //
-     << ",\"arrival\":\"" << json_escape(cell.arrival.label()) << "\""
-     << ",\"channel\":\"" << json_escape(cell.channel.label()) << "\""
-     << ",\"engine\":\"" << engine_mode_name(cell.engine) << "\""
-     << ",\"runs\":" << result.runs                                  //
-     << ",\"incomplete_runs\":" << result.incomplete_runs            //
-     << ",\"mean_makespan\":" << format_double(result.makespan.mean, 6)
-     << ",\"stddev_makespan\":" << format_double(result.makespan.stddev, 6)
-     << ",\"min_makespan\":" << format_double(result.makespan.min, 6)
-     << ",\"p25_makespan\":" << format_double(result.makespan.p25, 6)
-     << ",\"median_makespan\":" << format_double(result.makespan.median, 6)
-     << ",\"p75_makespan\":" << format_double(result.makespan.p75, 6)
-     << ",\"p95_makespan\":" << format_double(result.makespan.p95, 6)
-     << ",\"max_makespan\":" << format_double(result.makespan.max, 6)
-     << ",\"mean_ratio\":" << format_double(result.ratio.mean, 6)    //
-     << ",\"latency_p50\":" << format_double(result.latency_p50, 6)
-     << ",\"latency_p95\":" << format_double(result.latency_p95, 6)
-     << ",\"latency_p99\":" << format_double(result.latency_p99, 6)
-     << ",\"energy_mean\":" << format_double(result.energy_mean, 6)
-     << ",\"energy_max\":" << format_double(result.energy_max, 6)  //
-     << "}\n";
-  if (flush_each_row_) os.flush();
+  std::string line = "{\"cell\":" + std::to_string(cell.index) +
+                     ",\"spec_hash\":\"" + spec_hash_ + "\"";
+  const auto append = [&](std::span<const ResultField> fields) {
+    for (const ResultField& field : fields) {
+      append_json_member(line, field, result,
+                         [](double v) { return format_double(v, 6); });
+    }
+  };
+  append(kIdentityFields);
+  line += ",\"arrival\":\"" + json::escape(cell.arrival.label()) + "\"" +
+          ",\"channel\":\"" + json::escape(cell.channel.label()) + "\"" +
+          ",\"engine\":\"" + engine_mode_name(cell.engine) + "\"";
+  append(kMeasureFields);
+  line += "}\n";
+  *os_ << line;
+  if (flush_each_row_) os_->flush();
 }
 
 void JsonlSink::end() { os_->flush(); }

@@ -96,7 +96,4 @@ class MemorySink final : public ResultSink {
   std::vector<AggregateResult> results_;
 };
 
-/// JSON string escaping per RFC 8259 (exposed for tests).
-std::string json_escape(const std::string& text);
-
 }  // namespace ucr::exp

@@ -17,42 +17,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-void append_summary(std::string& out, const char* key,
-                    const Summary& summary) {
-  out += '"';
-  out += key;
-  out += "\":[";
-  out += std::to_string(summary.count);
-  const double values[] = {summary.mean, summary.stddev,
-                           summary.min,  summary.p25,
-                           summary.median, summary.p75,
-                           summary.p95,  summary.max,
-                           summary.ci95_halfwidth};
-  for (const double value : values) {
-    out += ',';
-    out += format_double_shortest(value);
-  }
-  out += ']';
-}
-
-Summary parse_summary(const json::Value& value, const std::string& source) {
-  const auto& items = value.items();
-  UCR_REQUIRE(items.size() == 10,
-              source + ": summary array must have 10 entries, has " +
-                  std::to_string(items.size()));
-  Summary summary;
-  summary.count = items[0].as_u64();
-  summary.mean = items[1].as_double();
-  summary.stddev = items[2].as_double();
-  summary.min = items[3].as_double();
-  summary.p25 = items[4].as_double();
-  summary.median = items[5].as_double();
-  summary.p75 = items[6].as_double();
-  summary.p95 = items[7].as_double();
-  summary.max = items[8].as_double();
-  summary.ci95_halfwidth = items[9].as_double();
-  return summary;
-}
+// A cache record stores each Summary whole, as [count, then these
+// statistics], in place of its first field in the schema (kResultFields).
+constexpr double Summary::*kSummaryStats[] = {
+    &Summary::mean, &Summary::stddev, &Summary::min,
+    &Summary::p25,  &Summary::median, &Summary::p75,
+    &Summary::p95,  &Summary::max,    &Summary::ci95_halfwidth};
 
 }  // namespace
 
@@ -76,19 +46,20 @@ std::string ResultCache::encode_record(const exp::CellTask& task,
   out += std::to_string(kCacheSchemaVersion);
   out += ",\"spec_hash\":\"" + json::escape(task.spec_hash) + "\"";
   out += ",\"cell\":" + std::to_string(task.cell.index);
-  out += ",\"protocol\":\"" + json::escape(result.protocol) + "\"";
-  out += ",\"k\":" + std::to_string(result.k);
-  out += ",\"runs\":" + std::to_string(result.runs);
-  out += ",\"incomplete_runs\":" + std::to_string(result.incomplete_runs);
-  out += ',';
-  append_summary(out, "makespan", result.makespan);
-  out += ',';
-  append_summary(out, "ratio", result.ratio);
-  out += ",\"latency_p50\":" + format_double_shortest(result.latency_p50);
-  out += ",\"latency_p95\":" + format_double_shortest(result.latency_p95);
-  out += ",\"latency_p99\":" + format_double_shortest(result.latency_p99);
-  out += ",\"energy_mean\":" + format_double_shortest(result.energy_mean);
-  out += ",\"energy_max\":" + format_double_shortest(result.energy_max);
+  const SummaryColumn* written = nullptr;
+  for (const ResultField& field : kResultFields) {
+    if (field.summary == nullptr) {
+      append_json_member(out, field, result, format_double_shortest);
+    } else if (std::exchange(written, field.summary) != field.summary) {
+      const Summary& summary = result.*field.summary->member;
+      out += ",\"" + std::string(field.summary->key) + "\":[";
+      out += std::to_string(summary.count);
+      for (const auto stat : kSummaryStats) {
+        out += ',' + format_double_shortest(summary.*stat);
+      }
+      out += ']';
+    }
+  }
   out += "}\n";
   return out;
 }
@@ -106,32 +77,53 @@ AggregateResult ResultCache::decode_record(const std::string& text,
   }
   UCR_REQUIRE(record.is_object(),
               source + ": corrupt cache record — not a JSON object");
-  const json::Value* version = record.find("cache_version");
-  UCR_REQUIRE(version != nullptr,
-              source + ": corrupt cache record — no cache_version");
-  UCR_REQUIRE(version->as_u64() == kCacheSchemaVersion,
+  // The members must be exactly those encode_record writes, in its order.
+  const auto& members = record.members();
+  std::size_t next = 0;
+  const auto member = [&](const char* key) -> const json::Value& {
+    UCR_REQUIRE(next < members.size() && members[next].first == key,
+                source + ": corrupt cache record — expected \"" + key +
+                    "\" as member " + std::to_string(next + 1));
+    return members[next++].second;
+  };
+  const json::Value& version = member("cache_version");
+  UCR_REQUIRE(version.as_u64() == kCacheSchemaVersion,
               source + ": stale cache record (cache_version " +
-                  version->number_token() + ", this build reads " +
+                  version.number_token() + ", this build reads " +
                   std::to_string(kCacheSchemaVersion) +
                   ") — delete the cache directory to recompute");
-  UCR_REQUIRE(record.at("spec_hash").as_string() == spec_hash,
+  UCR_REQUIRE(member("spec_hash").as_string() == spec_hash,
               source + ": cache record spec_hash disagrees with its "
                        "address (corrupt or misplaced record)");
-  UCR_REQUIRE(record.at("cell").as_u64() == cell_index,
+  UCR_REQUIRE(member("cell").as_u64() == cell_index,
               source + ": cache record cell index disagrees with its "
                        "address (corrupt or misplaced record)");
   AggregateResult result;
-  result.protocol = record.at("protocol").as_string();
-  result.k = record.at("k").as_u64();
-  result.runs = record.at("runs").as_u64();
-  result.incomplete_runs = record.at("incomplete_runs").as_u64();
-  result.makespan = parse_summary(record.at("makespan"), source);
-  result.ratio = parse_summary(record.at("ratio"), source);
-  result.latency_p50 = record.at("latency_p50").as_double();
-  result.latency_p95 = record.at("latency_p95").as_double();
-  result.latency_p99 = record.at("latency_p99").as_double();
-  result.energy_mean = record.at("energy_mean").as_double();
-  result.energy_max = record.at("energy_max").as_double();
+  const SummaryColumn* read = nullptr;
+  for (const ResultField& field : kResultFields) {
+    if (field.summary == nullptr) {
+      const json::Value& value = member(field.key);
+      set_field(field, result,
+                field.kind == FieldKind::kString ? value.as_string()
+                                                 : value.number_token());
+    } else if (std::exchange(read, field.summary) != field.summary) {
+      const auto& items = member(field.summary->key).items();
+      UCR_REQUIRE(items.size() == 1 + std::size(kSummaryStats),
+                  source + ": corrupt cache record — " + field.summary->key +
+                      " has " + std::to_string(items.size()) + " entries");
+      Summary& summary = result.*field.summary->member;
+      summary.count = items[0].as_u64();
+      for (std::size_t i = 0; i < std::size(kSummaryStats); ++i) {
+        summary.*kSummaryStats[i] = items[i + 1].as_double();
+      }
+    }
+  }
+  UCR_REQUIRE(next == members.size(),
+              source + ": corrupt cache record — unexpected member \"" +
+                  members[next].first + "\"");
+  UCR_REQUIRE(result.incomplete_runs <= result.runs,
+              source + ": corrupt cache record — more incomplete runs "
+                       "than runs");
   return result;
 }
 

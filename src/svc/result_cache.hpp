@@ -12,11 +12,11 @@
 // normalized out: shards of one sweep fill disjoint cells of the same
 // directory, and a re-run at any thread count hits the same keys.
 //
-// Records carry every AggregateResult field the sinks and the table
-// renderer read, with doubles in shortest-round-trip notation — a cache
-// hit replays into CsvStreamSink/JsonlSink byte-identically to the cold
-// computation (pinned by tests/svc/cached_run_test.cpp). Per-run details
-// are NOT persisted: a replayed aggregate has empty `details`.
+// Records carry the result schema (docs/ARCHITECTURE.md "Result schema")
+// with doubles in shortest-round-trip notation — a cache hit replays into
+// CsvStreamSink/JsonlSink byte-identically to the cold computation
+// (pinned by tests/svc/cached_run_test.cpp). Per-run details are NOT
+// persisted: a replayed aggregate has empty `details`.
 //
 // Write discipline: records are written to a dot-prefixed temp file in
 // the record's directory and renamed into place, so readers never observe
@@ -73,9 +73,9 @@ class ResultCache final : public exp::CellResultStore {
   static std::string encode_record(const exp::CellTask& task,
                                    const AggregateResult& result);
 
-  /// Parses a record produced by encode_record; validates schema version
-  /// and the (spec_hash, cell_index) key. `source` names the origin in
-  /// errors (file path, "test", ...).
+  /// Parses a record produced by encode_record; validates schema version,
+  /// the (spec_hash, cell_index) key and the exact member list. `source`
+  /// names the origin in errors (file path, "test", ...).
   static AggregateResult decode_record(const std::string& text,
                                        const std::string& spec_hash,
                                        std::size_t cell_index,

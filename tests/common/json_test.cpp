@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.hpp"
 
 namespace ucr::json {
@@ -30,8 +32,9 @@ TEST(JsonParse, ObjectMembersKeepDocumentOrderAndTypes) {
 }
 
 TEST(JsonParse, NumbersKeepTheirExactTokens) {
-  const Value value =
-      parse("{\"u\":18446744073709551615,\"d\":1.5e-300,\"n\":-7}");
+  const Value value = parse(
+      "{\"u\":18446744073709551615,\"d\":1.5e-300,\"n\":-7,"
+      "\"s\":5e-324}");
   // The u64 max round-trips exactly — a double would lose the low bits.
   EXPECT_EQ(value.at("u").as_u64(), 18446744073709551615ull);
   EXPECT_EQ(value.at("u").number_token(), "18446744073709551615");
@@ -40,6 +43,9 @@ TEST(JsonParse, NumbersKeepTheirExactTokens) {
   EXPECT_THROW(value.at("n").as_u64(), ContractViolation);
   EXPECT_THROW(value.at("d").as_u64(), ContractViolation);
   EXPECT_DOUBLE_EQ(value.at("n").as_double(), -7.0);
+  // The smallest subnormal, as shortest round-trip formatting writes it.
+  EXPECT_EQ(value.at("s").as_double(),
+            std::numeric_limits<double>::denorm_min());
 }
 
 TEST(JsonParse, StringEscapesDecode) {

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "common/json.hpp"
 #include "core/registry.hpp"
 #include "exp/run.hpp"
 #include "exp/spec_io.hpp"
@@ -34,12 +35,13 @@ TEST(CsvSink, RoundTripsThroughReadAggregateCsv) {
   const std::vector<AggregateRow> rows = read_aggregate_csv(in);
   ASSERT_EQ(rows.size(), memory.results().size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].protocol, memory.results()[i].protocol);
-    EXPECT_EQ(rows[i].k, memory.results()[i].k);
-    EXPECT_EQ(rows[i].runs, memory.results()[i].runs);
+    const AggregateResult& read = rows[i].result;
+    EXPECT_EQ(read.protocol, memory.results()[i].protocol);
+    EXPECT_EQ(read.k, memory.results()[i].k);
+    EXPECT_EQ(read.runs, memory.results()[i].runs);
     // The resultio format carries 6 decimal places.
-    EXPECT_NEAR(rows[i].mean_ratio, memory.results()[i].ratio.mean, 1e-6);
-    EXPECT_NEAR(rows[i].mean_makespan, memory.results()[i].makespan.mean,
+    EXPECT_NEAR(read.ratio.mean, memory.results()[i].ratio.mean, 1e-6);
+    EXPECT_NEAR(read.makespan.mean, memory.results()[i].makespan.mean,
                 1e-6);
   }
 }
@@ -179,11 +181,11 @@ TEST(Sinks, RowsCarryTheShardInvariantSpecHash) {
 }
 
 TEST(JsonlSink, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(json::escape("plain"), "plain");
+  EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json::escape("a\nb"), "a\\nb");
+  EXPECT_EQ(json::escape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 }  // namespace

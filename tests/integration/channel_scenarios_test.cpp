@@ -158,8 +158,8 @@ TEST(ChannelScenarios, EnergyColumnsSurviveTheCsvRoundTrip) {
   std::istringstream in(csv.str());
   const auto rows = read_aggregate_csv(in);
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_GT(rows[0].energy_mean, 0.0);
-  EXPECT_GE(rows[0].energy_max, 1.0);
+  EXPECT_GT(rows[0].result.energy_mean, 0.0);
+  EXPECT_GE(rows[0].result.energy_max, 1.0);
 
   // The fair engine reports the expected energy but cannot name a worst
   // station.

@@ -60,76 +60,88 @@ TEST(ParseCsvLine, RoundTripsCsvWriterEscaping) {
 
 TEST(ResultIo, RoundTripPreservesRows) {
   std::vector<AggregateRow> rows(2);
-  rows[0].protocol = "One-Fail Adaptive";
-  rows[0].k = 1000;
-  rows[0].runs = 10;
-  rows[0].mean_makespan = 7432.5;
-  rows[0].stddev_makespan = 51.25;
-  rows[0].min_makespan = 7300;
-  rows[0].p25_makespan = 7390.25;
-  rows[0].median_makespan = 7430;
-  rows[0].p75_makespan = 7477.5;
-  rows[0].p95_makespan = 7539.125;
-  rows[0].max_makespan = 7550;
-  rows[0].mean_ratio = 7.4325;
-  rows[0].latency_p50 = 12.5;
-  rows[0].latency_p95 = 91.25;
-  rows[0].latency_p99 = 140.125;
-  rows[0].energy_mean = 3.625;
-  rows[0].energy_max = 17;
+  rows[0].result.protocol = "One-Fail Adaptive";
+  rows[0].result.k = 1000;
+  rows[0].result.runs = 10;
+  rows[0].result.makespan.mean = 7432.5;
+  rows[0].result.makespan.stddev = 51.25;
+  rows[0].result.makespan.min = 7300;
+  rows[0].result.makespan.p25 = 7390.25;
+  rows[0].result.makespan.median = 7430;
+  rows[0].result.makespan.p75 = 7477.5;
+  rows[0].result.makespan.p95 = 7539.125;
+  rows[0].result.makespan.max = 7550;
+  rows[0].result.ratio.mean = 7.4325;
+  rows[0].result.latency_p50 = 12.5;
+  rows[0].result.latency_p95 = 91.25;
+  rows[0].result.latency_p99 = 140.125;
+  rows[0].result.energy_mean = 3.625;
+  rows[0].result.energy_max = 17;
   rows[0].spec_hash = "2eed288eb0fae51d";
-  rows[1].protocol = "Log-Fails Adaptive (2)";  // name with parentheses
-  rows[1].k = 100;
-  rows[1].runs = 5;
-  rows[1].incomplete_runs = 1;
-  rows[1].mean_makespan = 9034;
-  rows[1].mean_ratio = 90.34;
+  rows[1].result.protocol = "Log-Fails Adaptive (2)";  // name with parentheses
+  rows[1].result.k = 100;
+  rows[1].result.runs = 5;
+  rows[1].result.incomplete_runs = 1;
+  rows[1].result.makespan.mean = 9034;
+  rows[1].result.ratio.mean = 90.34;
 
   std::stringstream ss;
   write_aggregate_csv(ss, rows);
   const auto back = read_aggregate_csv(ss);
 
   ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].protocol, rows[0].protocol);
-  EXPECT_EQ(back[0].k, rows[0].k);
-  EXPECT_EQ(back[0].runs, rows[0].runs);
-  EXPECT_NEAR(back[0].mean_makespan, rows[0].mean_makespan, 1e-5);
-  EXPECT_NEAR(back[0].stddev_makespan, rows[0].stddev_makespan, 1e-5);
-  EXPECT_NEAR(back[0].p25_makespan, rows[0].p25_makespan, 1e-5);
-  EXPECT_NEAR(back[0].median_makespan, rows[0].median_makespan, 1e-5);
-  EXPECT_NEAR(back[0].p75_makespan, rows[0].p75_makespan, 1e-5);
-  EXPECT_NEAR(back[0].p95_makespan, rows[0].p95_makespan, 1e-5);
-  EXPECT_NEAR(back[0].mean_ratio, rows[0].mean_ratio, 1e-5);
-  EXPECT_NEAR(back[0].latency_p50, rows[0].latency_p50, 1e-5);
-  EXPECT_NEAR(back[0].latency_p95, rows[0].latency_p95, 1e-5);
-  EXPECT_NEAR(back[0].latency_p99, rows[0].latency_p99, 1e-5);
-  EXPECT_NEAR(back[0].energy_mean, rows[0].energy_mean, 1e-5);
-  EXPECT_NEAR(back[0].energy_max, rows[0].energy_max, 1e-5);
+  const AggregateResult& got = back[0].result;
+  const AggregateResult& want = rows[0].result;
+  EXPECT_EQ(got.protocol, want.protocol);
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.runs, want.runs);
+  EXPECT_NEAR(got.makespan.mean, want.makespan.mean, 1e-5);
+  EXPECT_NEAR(got.makespan.stddev, want.makespan.stddev, 1e-5);
+  EXPECT_NEAR(got.makespan.p25, want.makespan.p25, 1e-5);
+  EXPECT_NEAR(got.makespan.median, want.makespan.median, 1e-5);
+  EXPECT_NEAR(got.makespan.p75, want.makespan.p75, 1e-5);
+  EXPECT_NEAR(got.makespan.p95, want.makespan.p95, 1e-5);
+  EXPECT_NEAR(got.ratio.mean, want.ratio.mean, 1e-5);
+  EXPECT_NEAR(got.latency_p50, want.latency_p50, 1e-5);
+  EXPECT_NEAR(got.latency_p95, want.latency_p95, 1e-5);
+  EXPECT_NEAR(got.latency_p99, want.latency_p99, 1e-5);
+  EXPECT_NEAR(got.energy_mean, want.energy_mean, 1e-5);
+  EXPECT_NEAR(got.energy_max, want.energy_max, 1e-5);
   EXPECT_EQ(back[0].spec_hash, rows[0].spec_hash);
-  EXPECT_EQ(back[1].incomplete_runs, 1u);
-  EXPECT_EQ(back[1].protocol, rows[1].protocol);
+  EXPECT_EQ(back[1].result.incomplete_runs, 1u);
+  EXPECT_EQ(back[1].result.protocol, rows[1].result.protocol);
   EXPECT_EQ(back[1].spec_hash, "");  // hand-built rows carry no provenance
+}
+
+/// The schema field whose CSV column is `csv_name`.
+const ResultField& field(const std::string& csv_name) {
+  for (const ResultField& field : kResultFields) {
+    if (field.csv_name == csv_name) return field;
+  }
+  throw ContractViolation("no column " + csv_name);
 }
 
 TEST(ResultIo, FromAggregateResult) {
   const auto factory = make_known_k_factory();
   const AggregateResult res = run_fair_experiment(factory, 50, 4, 1, {});
-  const AggregateRow row = AggregateRow::from(res);
-  EXPECT_EQ(row.protocol, res.protocol);
-  EXPECT_EQ(row.k, 50u);
-  EXPECT_EQ(row.runs, 4u);
-  EXPECT_DOUBLE_EQ(row.mean_makespan, res.makespan.mean);
-  EXPECT_DOUBLE_EQ(row.p25_makespan, res.makespan.p25);
-  EXPECT_DOUBLE_EQ(row.median_makespan, res.makespan.median);
-  EXPECT_DOUBLE_EQ(row.p75_makespan, res.makespan.p75);
-  EXPECT_DOUBLE_EQ(row.p95_makespan, res.makespan.p95);
-  EXPECT_DOUBLE_EQ(row.mean_ratio, res.ratio.mean);
+  const auto column = [&res](const std::string& csv_name) {
+    return field(csv_name).real_in(res);
+  };
+  EXPECT_EQ(res.*field("protocol").text, res.protocol);
+  EXPECT_EQ(res.*field("k").count, 50u);
+  EXPECT_EQ(res.*field("runs").count, 4u);
+  EXPECT_DOUBLE_EQ(column("mean_makespan"), res.makespan.mean);
+  EXPECT_DOUBLE_EQ(column("p25"), res.makespan.p25);
+  EXPECT_DOUBLE_EQ(column("median"), res.makespan.median);
+  EXPECT_DOUBLE_EQ(column("p75"), res.makespan.p75);
+  EXPECT_DOUBLE_EQ(column("p95"), res.makespan.p95);
+  EXPECT_DOUBLE_EQ(column("mean_ratio"), res.ratio.mean);
   // The percentile spread brackets the extremes the row also carries.
-  EXPECT_LE(row.min_makespan, row.p25_makespan);
-  EXPECT_LE(row.p25_makespan, row.median_makespan);
-  EXPECT_LE(row.median_makespan, row.p75_makespan);
-  EXPECT_LE(row.p75_makespan, row.p95_makespan);
-  EXPECT_LE(row.p95_makespan, row.max_makespan);
+  EXPECT_LE(column("min"), column("p25"));
+  EXPECT_LE(column("p25"), column("median"));
+  EXPECT_LE(column("median"), column("p75"));
+  EXPECT_LE(column("p75"), column("p95"));
+  EXPECT_LE(column("p95"), column("max"));
 }
 
 TEST(ResultIo, RejectsGarbage) {
@@ -184,6 +196,36 @@ TEST(ResultIo, RejectsSignedOverflowingAndPaddedIntegers) {
   }
 }
 
+TEST(ResultIo, RejectsPaddedSignedHexAndOverflowingDoubles) {
+  // strtod would skip the blank, accept the sign, read "0x10" as 16 and
+  // "1e999" as inf, and a carriage return inside a cell was dropped
+  // ("1\r5" read as 15): a double cell must be spelled the way the writer
+  // spells numbers.
+  for (const std::string cell : {" 1.5", "1.5 ", "+2", "0x10", "-0x1p3",
+                                 "1e999", "-1e999", "1\r5"}) {
+    std::stringstream in(
+        "protocol,k,runs,incomplete_runs,mean_makespan,stddev,min,p25,"
+        "median,p75,p95,max,mean_ratio,latency_p50,latency_p95,latency_p99,"
+        "energy_mean,energy_max,spec_hash\nX,1,2,0," +
+        cell + ",1,1,1,1,1,1,1,1,0,0,0,0,0,h\n");
+    EXPECT_THROW(read_aggregate_csv(in), ContractViolation) << cell;
+  }
+}
+
+TEST(ResultIo, RejectsMoreIncompleteRunsThanRuns) {
+  const std::string header =
+      "protocol,k,runs,incomplete_runs,mean_makespan,stddev,min,p25,median,"
+      "p75,p95,max,mean_ratio,latency_p50,latency_p95,latency_p99,"
+      "energy_mean,energy_max,spec_hash\n";
+  std::stringstream all_capped(header +
+                               "p,10,5,5,1,1,1,1,1,1,1,1,1,0,0,0,0,0,h\n");
+  EXPECT_EQ(read_aggregate_csv(all_capped).size(), 1u);
+  // 5 of 2 runs capped is no row the writer can produce.
+  std::stringstream too_many(header +
+                             "p,10,2,5,1,1,1,1,1,1,1,1,1,0,0,0,0,0,h\n");
+  EXPECT_THROW(read_aggregate_csv(too_many), ContractViolation);
+}
+
 TEST(ResultIo, RejectsReorderedHeader) {
   // Same column count and the same first and last names, but two middle
   // columns swapped: the rows would be misread, so the header is refused.
@@ -199,21 +241,21 @@ TEST(ResultIo, RejectsReorderedHeader) {
 /// whose names need quoting.
 std::string written_csv() {
   std::vector<AggregateRow> rows;
-  rows.push_back(AggregateRow::from(
-      run_fair_experiment(make_known_k_factory(), 50, 4, 1, {})));
+  rows.push_back(
+      {run_fair_experiment(make_known_k_factory(), 50, 4, 1, {}), ""});
   AggregateRow quoted;
-  quoted.protocol = "name, with \"quotes\"";
-  quoted.k = 7;
-  quoted.runs = 3;
-  quoted.incomplete_runs = 1;
-  quoted.mean_makespan = 1234.5;
-  quoted.latency_p99 = 17.25;
+  quoted.result.protocol = "name, with \"quotes\"";
+  quoted.result.k = 7;
+  quoted.result.runs = 3;
+  quoted.result.incomplete_runs = 1;
+  quoted.result.makespan.mean = 1234.5;
+  quoted.result.latency_p99 = 17.25;
   quoted.spec_hash = "0123456789abcdef";
   rows.push_back(quoted);
   AggregateRow plain;
-  plain.protocol = "Log-Fails Adaptive (2)";
-  plain.k = 100;
-  plain.runs = 5;
+  plain.result.protocol = "Log-Fails Adaptive (2)";
+  plain.result.k = 100;
+  plain.result.runs = 5;
   rows.push_back(plain);
   std::stringstream out;
   write_aggregate_csv(out, rows);
@@ -333,8 +375,8 @@ TEST(ResultIo, MutatedCsvIsRejectedLoudlyOrReadWhole) {
 
 TEST(ResultIo, SkipsBlankLines) {
   std::vector<AggregateRow> rows(1);
-  rows[0].protocol = "X";
-  rows[0].k = 10;
+  rows[0].result.protocol = "X";
+  rows[0].result.k = 10;
   std::stringstream ss;
   write_aggregate_csv(ss, rows);
   ss << "\n";

@@ -34,7 +34,7 @@ std::vector<SweepPoint> small_grid() {
 
 std::string csv_of(const std::vector<AggregateResult>& results) {
   std::vector<AggregateRow> rows;
-  for (const auto& r : results) rows.push_back(AggregateRow::from(r));
+  for (const auto& r : results) rows.push_back({r, ""});
   std::ostringstream os;
   write_aggregate_csv(os, rows);
   return os.str();

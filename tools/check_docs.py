@@ -22,7 +22,12 @@ Checks, all hard failures:
 5. Every backticked `run_*_engine*` identifier in those documents must
    be declared in src/sim/*.hpp — a removed or renamed engine entry point
    cannot linger in the docs.
-6. With --cli=<path to ucr_cli>, every protocol name `ucr_cli --list`
+6. The CSV columns of the table in docs/ARCHITECTURE.md "Result schema"
+   must equal the header line of
+   tests/golden/dynamic-arrivals.node.csv.golden plus the trailing
+   `spec_hash` column the golden test strips — the documented schema
+   cannot drift from the bytes the sinks write.
+7. With --cli=<path to ucr_cli>, every protocol name `ucr_cli --list`
    prints must appear as a `## <name>` section heading in
    docs/PROTOCOLS.md — the same contract the tier-1 drift test
    (tests/docs/protocols_doc_test.cpp) enforces, re-checked here from
@@ -45,6 +50,9 @@ SECTION_REF_RE = re.compile(r"docs/([A-Za-z0-9._-]+\.md) \"([^\"]+)\"")
 HEADING_RE = re.compile(r"^#{1,6} +(.+?)\s*$", re.MULTILINE)
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 ENGINE_NAME_RE = re.compile(r"\brun_\w*_engine\w*")
+RESULT_SCHEMA_RE = re.compile(r"^## Result schema\n(.*?)(?=^## )",
+                              re.MULTILINE | re.DOTALL)
+SCHEMA_ROW_RE = re.compile(r"^\| `([^`]+)` \|", re.MULTILINE)
 ENGINE_DECL_RE = re.compile(
     r"^[A-Za-z_][\w:<>]*\s+(run_\w*_engine\w*)\s*\(", re.MULTILINE)
 
@@ -159,6 +167,26 @@ def check_engine_refs(root: pathlib.Path) -> list[str]:
     return errors
 
 
+def check_result_schema(root: pathlib.Path) -> list[str]:
+    """The documented result columns must be the golden CSV header's."""
+    doc = root / "docs" / "ARCHITECTURE.md"
+    golden = root / "tests" / "golden" / "dynamic-arrivals.node.csv.golden"
+    match = RESULT_SCHEMA_RE.search(doc.read_text(encoding="utf-8"))
+    if match is None:
+        return ["docs/ARCHITECTURE.md: no '## Result schema' section"]
+    documented = SCHEMA_ROW_RE.findall(match.group(1))
+    with golden.open(encoding="utf-8") as f:
+        header = f.readline().rstrip("\n").split(",") + ["spec_hash"]
+    if documented != header:
+        return [
+            "docs/ARCHITECTURE.md \"Result schema\": columns "
+            f"{','.join(documented)} differ from the CSV header "
+            f"{','.join(header)} ({golden.relative_to(root)} plus "
+            "spec_hash)"
+        ]
+    return []
+
+
 def registered_names(cli: str) -> list[str]:
     out = subprocess.run(
         [cli, "--list"], check=True, capture_output=True, text=True
@@ -208,7 +236,7 @@ def main() -> int:
 
     errors = (check_links(root) + check_spec_refs(root)
               + check_spec_coverage(root) + check_section_refs(root)
-              + check_engine_refs(root))
+              + check_engine_refs(root) + check_result_schema(root))
     if args.cli:
         try:
             errors += check_protocol_catalog(root, args.cli)
@@ -222,7 +250,7 @@ def main() -> int:
     if errors:
         return 1
     checked = ("links + spec refs + spec coverage + section refs"
-               " + engine refs") + (
+               " + engine refs + result schema") + (
         " + protocol catalog" if args.cli else ""
     )
     print(f"docs check ok ({checked})")
