@@ -24,6 +24,7 @@
 #include "exp/spec_io.hpp"
 #include "protocols/exp_backoff.hpp"
 #include "protocols/known_k.hpp"
+#include "protocols/log_fails_adaptive.hpp"
 #include "protocols/window_node.hpp"
 #include "sim/fair_engine.hpp"
 #include "sim/node_engine.hpp"
@@ -118,6 +119,26 @@ void BM_FairSlotEngine_OneFail(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(slots));
 }
 BENCHMARK(BM_FairSlotEngine_OneFail)->Arg(1000)->Arg(100000);
+
+// Log-Fails Adaptive (2) alternates AT and BT steps, so its probability
+// never holds for two slots in a row and every slot takes the exact step;
+// its (m, p) pairs repeat, which is what the engine's slot-law cache buys.
+void BM_FairSlotEngine_LogFails2(benchmark::State& state) {
+  const std::uint64_t k = state.range(0);
+  ucr::LogFailsParams params;
+  params.xi_t = 0.5;
+  std::uint64_t seed = 0;
+  std::uint64_t slots = 0;
+  for (auto _ : state) {
+    ucr::LogFailsAdaptive protocol(params, k);
+    ucr::Xoshiro256 rng = ucr::Xoshiro256::stream(5, seed++);
+    const auto run = ucr::run_fair_slot_engine(protocol, k, rng, {});
+    slots += run.slots;
+    benchmark::DoNotOptimize(run.slots);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(slots));
+}
+BENCHMARK(BM_FairSlotEngine_LogFails2)->Arg(1000)->Arg(100000);
 
 void BM_FairWindowEngine_Sawtooth(benchmark::State& state) {
   const std::uint64_t k = state.range(0);

@@ -7,15 +7,28 @@
 
 namespace ucr {
 
+SlotLaw SlotLaw::of(std::uint64_t m, double p) {
+  // The special cases and formulas of pow_one_minus and prob_success.
+  UCR_REQUIRE(p >= 0.0 && p <= 1.0, "probability out of range");
+  SlotLaw law;
+  law.m = m;
+  law.p = p;
+  if (m == 0 || p == 0.0) {
+    law.p1 = 0.0;
+  } else if (p == 1.0) {
+    law.p0 = 0.0;
+    law.p1 = m == 1 ? 1.0 : 0.0;
+  } else {
+    law.log_q = std::log1p(-p);
+    law.p0 = std::exp(static_cast<double>(m) * law.log_q);
+  }
+  return law;
+}
+
 SlotCategory sample_slot_category(Xoshiro256& rng, std::uint64_t m, double p) {
   UCR_REQUIRE(p >= 0.0 && p <= 1.0, "transmission probability out of range");
   if (m == 0 || p == 0.0) return SlotCategory::kSilence;
-  const double p0 = prob_silence(m, p);
-  const double p1 = prob_success(m, p);
-  const double u = rng.next_double();
-  if (u < p0) return SlotCategory::kSilence;
-  if (u < p0 + p1) return SlotCategory::kSuccess;
-  return SlotCategory::kCollision;
+  return SlotLaw::of(m, p).draw(rng);
 }
 
 namespace detail {

@@ -4,7 +4,10 @@
 // *number of transmitters* in a slot. Two regimes:
 //
 //  * slot-probability protocols only need the category {0, 1, >=2}, sampled
-//    in O(1) from the closed-form probabilities (see sample_slot_category);
+//    in O(1) from the closed-form probabilities (see sample_slot_category).
+//    An engine that asks for the same law slot after slot keeps it in a
+//    SlotLawCache: no transcendental call on a repeated (m, p), one log1p
+//    and one exp on a new one, and the same values and draws as without;
 //  * window protocols need the exact transmitter count, i.e. a true
 //    Binomial(n, p) sample for n up to 10^7 and arbitrary p.
 //
@@ -17,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -32,9 +36,90 @@ enum class SlotCategory : std::uint8_t {
   kCollision = 2
 };
 
+/// The category law of one slot where m stations transmit with
+/// probability p each: P0 = (1-p)^m and P1 = m p (1-p)^(m-1). of() computes
+/// L = log1p(-p) once and P0 = exp(m L); P1 = m p exp((m-1) L) waits for
+/// its first use. These are the double operations of prob_silence and
+/// prob_success (common/mathx.hpp), special cases p == 0 and p == 1
+/// included, so the values agree with them bit for bit.
+struct SlotLaw {
+  /// Requires 0 <= p <= 1.
+  static SlotLaw of(std::uint64_t m, double p);
+
+  /// P1, bit for bit prob_success(m, p); computed on the first call.
+  double success() {
+    if (p1 < 0.0) {
+      const double md = static_cast<double>(m);
+      p1 = md * p * std::exp((md - 1.0) * log_q);
+    }
+    return p1;
+  }
+
+  /// One uniform draw u: silence when u < P0, success when u < P0 + P1,
+  /// collision otherwise (P1 is needed only when u >= P0).
+  SlotCategory draw(Xoshiro256& rng) {
+    const double u = rng.next_double();
+    if (u < p0) return SlotCategory::kSilence;
+    if (u < p0 + success()) return SlotCategory::kSuccess;
+    return SlotCategory::kCollision;
+  }
+
+  std::uint64_t m = 0;
+  double p = -1.0;  // matches no valid probability: an empty cache entry
+  double log_q = 0.0;  // log1p(-p)
+  double p0 = 1.0;   // bit for bit prob_silence(m, p)
+  double p1 = -1.0;  // negative until first needed
+};
+
 /// Draws the category of Binomial(m, p) in O(1): 0 -> silence,
-/// 1 -> success, >=2 -> collision.
+/// 1 -> success, >=2 -> collision, by SlotLaw::of(m, p).draw(rng).
+/// m == 0 or p == 0 is silence without a draw.
 SlotCategory sample_slot_category(Xoshiro256& rng, std::uint64_t m, double p);
+
+/// The SlotLaw of the last two (m, p) keys, for a caller that asks for
+/// the same law slot after slot. Fixed size, no allocation.
+///
+/// The fair slot engine is such a caller: m changes only on a delivery,
+/// and the adaptive protocols alternate between two probabilities (their
+/// AT and BT steps) that themselves change rarely. Two entries keyed by
+/// exact equality of (m, p) therefore hit on most slots, and a hit calls
+/// no log or exp; a miss costs one log1p and one exp. The values are
+/// SlotLaw's, and the cache adds, drops or moves no random draw, so a
+/// cached run is the uncached run, byte for byte.
+class SlotLawCache {
+ public:
+  /// Same category from the same draw as sample_slot_category(rng, m, p).
+  SlotCategory sample(Xoshiro256& rng, std::uint64_t m, double p) {
+    UCR_REQUIRE(p >= 0.0 && p <= 1.0,
+                "transmission probability out of range");
+    if (m == 0 || p == 0.0) return SlotCategory::kSilence;
+    return lookup(m, p).draw(rng);
+  }
+
+  /// prob_silence(m, p), bit for bit.
+  double silence(std::uint64_t m, double p) { return lookup(m, p).p0; }
+
+  /// prob_success(m, p), bit for bit.
+  double success(std::uint64_t m, double p) { return lookup(m, p).success(); }
+
+ private:
+  SlotLaw& lookup(std::uint64_t m, double p) {
+    for (unsigned i = 0; i < 2; ++i) {
+      if (entries_[i].m == m && entries_[i].p == p) {
+        victim_ = i ^ 1U;
+        return entries_[i];
+      }
+    }
+    // Replace the least recently used entry.
+    SlotLaw& law = entries_[victim_];
+    victim_ ^= 1U;
+    law = SlotLaw::of(m, p);
+    return law;
+  }
+
+  SlotLaw entries_[2];
+  unsigned victim_ = 0;
+};
 
 /// Exact Binomial(n, p) sample. Requires 0 <= p <= 1.
 std::uint64_t sample_binomial(Xoshiro256& rng, std::uint64_t n, double p);

@@ -1,6 +1,7 @@
 #include "coord/workers.hpp"
 
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -39,6 +40,8 @@ void apply_option(WorkerSpec& worker, const std::string& token,
     UCR_REQUIRE(capacity >= 1,
                 source + ": capacity must be >= 1 (a capacity-0 worker "
                          "could never hold a shard)");
+    UCR_REQUIRE(capacity <= std::numeric_limits<unsigned>::max(),
+                source + ": capacity is out of range: '" + value + "'");
     worker.capacity = static_cast<unsigned>(capacity);
   } else if (key == "name") {
     UCR_REQUIRE(!value.empty(), source + ": empty worker name");

@@ -29,9 +29,9 @@ void require_fair_contract(std::uint64_t k, const EngineOptions& options) {
 // draw, metric updates, optional observer callback, protocol advance.
 void resolve_slot_exact(FairSlotProtocol& protocol, double p,
                         std::uint64_t& m, Xoshiro256& rng,
-                        const EngineOptions& options, RunMetrics& metrics,
-                        KahanSum& expected_tx) {
-  const SlotCategory cat = sample_slot_category(rng, m, p);
+                        SlotLawCache& law, const EngineOptions& options,
+                        RunMetrics& metrics, KahanSum& expected_tx) {
+  const SlotCategory cat = law.sample(rng, m, p);
   expected_tx.add(static_cast<double>(m) * p);
 
   bool delivery = false;
@@ -131,6 +131,7 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
   metrics.k = k;
   const std::uint64_t cap = options.resolved_cap(k);
   KahanSum expected_tx;  // ~10^7 tiny addends at paper scale
+  SlotLawCache law;      // (m, p) repeats across most slots
 
   std::uint64_t m = k;  // active stations
   while (m > 0 && metrics.slots < cap) {
@@ -143,7 +144,8 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
     const std::uint64_t stretch = std::min(horizon, cap - metrics.slots);
 
     if (stretch <= 1) {
-      resolve_slot_exact(protocol, p, m, rng, options, metrics, expected_tx);
+      resolve_slot_exact(protocol, p, m, rng, law, options, metrics,
+                         expected_tx);
       continue;
     }
 
@@ -151,13 +153,13 @@ RunMetrics run_fair_slot_engine(FairSlotProtocol& protocol, std::uint64_t k,
     // success, so the non-success run length is Geometric(P[success])
     // truncated at the stretch, and the skipped slots split into silence
     // vs collision with one binomial draw.
-    const double p_success = prob_success(m, p);
+    const double p_success = law.success(m, p);
     const std::uint64_t failures =
         sample_geometric_failures(rng, p_success, stretch);
     const bool delivered = failures < stretch;
     std::uint64_t silent = failures;
     if (failures > 0 && p_success < 1.0) {
-      const double p_silence = prob_silence(m, p);
+      const double p_silence = law.silence(m, p);
       const double conditional =
           std::min(1.0, p_silence / (1.0 - p_success));
       silent = sample_binomial(rng, failures, conditional);

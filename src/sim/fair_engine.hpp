@@ -38,7 +38,12 @@ namespace ucr {
 // clean channel.
 
 /// Runs a fair slot-probability protocol on a batch of k messages.
-/// O(1) work per slot; scales to k = 10^7 makespans on a laptop.
+/// O(1) work per slot; scales to k = 10^7 makespans on a laptop. The slot
+/// law (P[silence], P[success]) comes from a SlotLawCache
+/// (common/samplers.hpp): a slot whose (m, p) repeats one of the last two
+/// calls no log or exp, a new one costs one log1p and one exp. The cached
+/// values are prob_silence/prob_success bit for bit and no draw moves, so
+/// runs are byte-identical to uncached ones.
 ///
 /// Batched: over a stretch of slots where the protocol guarantees constant
 /// p (FairSlotProtocol::constant_probability_slots), the number of

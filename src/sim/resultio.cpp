@@ -93,34 +93,41 @@ void write_aggregate_csv(std::ostream& os,
 }
 
 std::vector<std::string> parse_csv_line(const std::string& line) {
+  // A quote may only open a cell, and the quote closing it must end the
+  // cell: anything else (`1"2"`, `"1"2`, `a"b`) is not the writer's output.
+  std::size_t end = line.size();
+  if (end > 0 && line[end - 1] == '\r') --end;  // CRLF line end
   std::vector<std::string> cells;
-  std::string cell;
-  bool in_quotes = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (in_quotes) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;  // escaped quote
+  std::size_t i = 0;
+  for (;;) {
+    std::string cell;
+    if (i < end && line[i] == '"') {
+      for (++i;; ++i) {
+        UCR_REQUIRE(i < end, "unterminated quote in CSV line");
+        if (line[i] != '"') {
+          cell += line[i];
+        } else if (i + 1 < end && line[i + 1] == '"') {
+          cell += '"';  // escaped quote
+          ++i;
         } else {
-          in_quotes = false;
+          break;
         }
-      } else {
-        cell += ch;
       }
-    } else if (ch == '"') {
-      in_quotes = true;
-    } else if (ch == ',') {
-      cells.push_back(std::move(cell));
-      cell.clear();
-    } else if (ch != '\r' || i + 1 != line.size()) {  // CRLF line end
-      cell += ch;
+      ++i;  // past the closing quote
+      UCR_REQUIRE(i == end || line[i] == ',',
+                  "CSV quote closes before the end of its cell");
+    } else {
+      for (; i < end && line[i] != ','; ++i) {
+        UCR_REQUIRE(line[i] != '"',
+                    "CSV quote inside a cell (quotes may only wrap a "
+                    "whole cell)");
+        cell += line[i];
+      }
     }
+    cells.push_back(std::move(cell));
+    if (i == end) return cells;
+    ++i;  // past the comma
   }
-  UCR_REQUIRE(!in_quotes, "unterminated quote in CSV line");
-  cells.push_back(std::move(cell));
-  return cells;
 }
 
 std::vector<AggregateRow> read_aggregate_csv(std::istream& is) {

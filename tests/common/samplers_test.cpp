@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -92,6 +94,43 @@ TEST(SlotCategory, SuccessProbabilityPeaksNearOneOverM) {
   EXPECT_GT(at_opt, success_rate(1.0 / 10.0));
   EXPECT_GT(at_opt, success_rate(1.0 / 1000.0));
   EXPECT_NEAR(at_opt, 1.0 / std::exp(1.0), 0.01);
+}
+
+TEST(Samplers, SlotLawCacheMatchesClosedForms) {
+  // A key sequence that walks every cache path: repeats, A/B alternation
+  // (the AT/BT interleaving), the same p with a new m, evictions, and the
+  // special and extreme probabilities.
+  const double a = 1.0 / 3.0;
+  const double b = 0.125;
+  const std::vector<std::pair<std::uint64_t, double>> keys = {
+      {10, a},          {10, a},      {10, b},      {10, a},
+      {10, b},          {9, b},       {9, a},       {9, b},
+      {8, 0.5},         {9, a},       {1000, 0.0},  {0, 0.5},
+      {1, 1.0},         {1, 1.0},     {2, 1.0},     {7, 1.0},
+      {1, 0.25},        {1, 1e-300},  {1000000, 1e-300},
+      {1, 1.0 - 0x1p-53}, {3, 1.0 - 0x1p-53},     {3, 1.0 - 0x1p-53},
+      {1000000, 1e-6},  {999999, 1e-6}, {1000000, 1e-6}};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  SlotLawCache values;   // asked for P0 and P1 directly
+  SlotLawCache sampler;  // only samples: P1 stays lazy until a draw needs it
+  Xoshiro256 cached(99);
+  Xoshiro256 fresh(99);
+  std::uint64_t draws = 0;
+  for (const auto& [m, p] : keys) {
+    EXPECT_EQ(bits(values.silence(m, p)), bits(prob_silence(m, p)))
+        << "m=" << m << " p=" << p;
+    EXPECT_EQ(bits(values.success(m, p)), bits(prob_success(m, p)))
+        << "m=" << m << " p=" << p;
+    for (int i = 0; i < 3; ++i, ++draws) {
+      EXPECT_EQ(sampler.sample(cached, m, p),
+                sample_slot_category(fresh, m, p))
+          << "m=" << m << " p=" << p << " draw " << draws;
+    }
+  }
+  // Same draws consumed: both generators are in the same state.
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(cached.next_u64(), fresh.next_u64());
+  EXPECT_THROW(sampler.sample(cached, 10, -0.1), ContractViolation);
+  EXPECT_THROW(values.success(10, 1.5), ContractViolation);
 }
 
 // --------------------------------------------------------------- binomial

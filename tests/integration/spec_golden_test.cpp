@@ -16,10 +16,13 @@
 //     pinned statistically in node_batched_test.cpp.
 //
 //  2. Golden files: the full normalized output of each engine mode must
-//     match the checked-in bytes under tests/golden/. Any change to where
-//     either engine consumes randomness — a reordered draw, an extra coin,
-//     a substream rekeying — shifts trajectories and fails this loudly,
-//     even when it is law-preserving. Intentional changes re-record with
+//     match the checked-in bytes under tests/golden/; specs/table1.spec,
+//     shrunk to k <= 10^4 and 3 runs, pins the fair slot and window
+//     engines (exact and batched) too, expected_transmissions sums
+//     included. Any change to where an engine consumes randomness — a
+//     reordered draw, an extra coin, a substream rekeying — shifts
+//     trajectories and fails this loudly, even when it is
+//     law-preserving. Intentional changes re-record with
 //     UCR_REGOLD=1 in the environment; the diff then documents the drift
 //     in review.
 #include <gtest/gtest.h>
@@ -194,6 +197,28 @@ TEST(SpecGolden, DynamicArrivalsOutputMatchesGoldenFiles) {
                         "dynamic-arrivals.node_batched.csv.golden");
   expect_matches_golden(batched.jsonl,
                         "dynamic-arrivals.node_batched.jsonl.golden");
+}
+
+/// specs/table1.spec at test scale under one fair engine mode, as CSV
+/// without the spec_hash column (the mode is part of the spelling).
+std::string run_table1(EngineMode mode) {
+  exp::SpecFile file = exp::load_spec_file(std::string(UCR_REPO_ROOT) +
+                                           "/specs/table1.spec");
+  file.spec.k_max = 10000;
+  file.spec.runs = 3;
+  file.spec.engine = mode;
+  const exp::ExperimentPlan plan = exp::compile(file.spec, all_protocols());
+  std::ostringstream csv_text;
+  exp::CsvStreamSink csv(csv_text);
+  exp::run(plan, {&csv}, {1});
+  return csv_without_spec_hash(csv_text.str());
+}
+
+TEST(SpecGolden, Table1FairEnginesMatchGoldenFiles) {
+  expect_matches_golden(run_table1(EngineMode::kFair),
+                        "table1.fair.csv.golden");
+  expect_matches_golden(run_table1(EngineMode::kBatched),
+                        "table1.batched.csv.golden");
 }
 
 }  // namespace

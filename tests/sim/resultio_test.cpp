@@ -373,6 +373,31 @@ TEST(ResultIo, MutatedCsvIsRejectedLoudlyOrReadWhole) {
   EXPECT_GT(rejected, 0u);
 }
 
+TEST(ResultIo, RejectsQuotesInsideACell) {
+  // A quote may only wrap a whole cell; one anywhere else used to be
+  // dropped silently, so a numeric `1"2"` read as 12.
+  for (const std::string cell : {"1\"2\"", "\"1\"2", "a\"b"}) {
+    EXPECT_THROW(parse_csv_line(cell), ContractViolation) << cell;
+    EXPECT_THROW(parse_csv_line("x," + cell + ",y"), ContractViolation)
+        << cell;
+  }
+  const std::string text = written_csv();
+  std::vector<std::string> lines = split_lines(text);
+  const std::string k_cell = ",100,";  // the plain row's k column
+  const std::size_t at = lines[3].find(k_cell);
+  ASSERT_NE(at, std::string::npos);
+  lines[3].replace(at, k_cell.size(), ",1\"00\",");
+  std::istringstream mutated(join_lines(lines, "\n"));
+  EXPECT_THROW(read_aggregate_csv(mutated), ContractViolation);
+
+  // Whole quoted cells, escaped quotes included, still read back.
+  std::istringstream whole(text);
+  const std::vector<AggregateRow> rows = read_aggregate_csv(whole);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1].result.protocol, "name, with \"quotes\"");
+  EXPECT_EQ(rows[2].result.k, 100u);
+}
+
 TEST(ResultIo, SkipsBlankLines) {
   std::vector<AggregateRow> rows(1);
   rows[0].result.protocol = "X";
