@@ -8,8 +8,9 @@
 // are first-class sweep cells (a Poisson ArrivalSpec re-samples the
 // pattern for every run from its reserved substream), so the harness
 // shares the parallel SweepRunner pipeline with every other driver
-// instead of driving the ThreadPool by hand, and per-message latencies
-// ride along in the aggregates via EngineOptions::record_latencies.
+// instead of driving the ThreadPool by hand, and per-run latency
+// histograms ride along in the aggregates via
+// EngineOptions::record_latencies.
 #include <cstdint>
 #include <iostream>
 
@@ -21,11 +22,11 @@
 
 namespace {
 
-/// Per-cell latency digest over the concatenated per-run latencies (run
-/// order, so deterministic for any thread count). The percentiles
-/// themselves now ride along in the aggregate (latency_p50/p95/p99, also
-/// persisted per CSV/JSONL row); mean and the Jain fairness index are the
-/// extras this harness still derives from the details.
+/// Per-cell latency digest over the pooled per-run latency histograms,
+/// replayed in ascending order (deterministic for any thread count). The
+/// percentiles themselves ride along in the aggregate (latency_p50/p95/
+/// p99, also persisted per CSV/JSONL row); mean and the Jain fairness
+/// index are the extras this harness still derives from the details.
 struct LatencyDigest {
   double mean = 0.0;
   double fairness = 0.0;  // Jain index over per-message latencies
@@ -34,9 +35,11 @@ struct LatencyDigest {
 LatencyDigest digest_latencies(const ucr::AggregateResult& result) {
   std::vector<double> latencies;
   for (const auto& run : result.details) {
-    for (const auto l : run.latencies) {
-      latencies.push_back(static_cast<double>(l));
-    }
+    run.latency_histogram.for_each(
+        [&latencies](std::uint64_t value, std::uint64_t count) {
+          latencies.insert(latencies.end(), count,
+                           static_cast<double>(value));
+        });
   }
   LatencyDigest out;
   out.mean = ucr::summarize(latencies).mean;

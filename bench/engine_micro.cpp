@@ -293,6 +293,39 @@ BENCHMARK_CAPTURE(BM_NodeEngine_Livelock, OneFail, "One-Fail Adaptive");
 BENCHMARK_CAPTURE(BM_NodeEngine_Livelock, LogFails2,
                   "Log-Fails Adaptive (2)");
 
+// The per-cell latency fold: aggregate_runs over 4 runs x 10^6 recorded
+// latencies, merging the per-run histograms and reading p50/p95/p99.
+// `distinct` = false: small repeated values (dense Poisson traffic, as in
+// sweepbench's dense-batched); true: strictly rising, all-distinct values
+// (a batch on the node engine, where latency = delivery slot + 1).
+void BM_AggregateRuns_Latencies(benchmark::State& state, bool distinct) {
+  constexpr std::uint64_t kMessages = 1'000'000;
+  ucr::Xoshiro256 rng(16);
+  std::vector<ucr::RunMetrics> runs(4);
+  for (ucr::RunMetrics& run : runs) {
+    run.completed = true;
+    run.k = kMessages;
+    for (std::uint64_t i = 0; i < kMessages; ++i) {
+      run.slots += 1 + rng.next_below(14);  // ~7.5 slots per delivery
+      run.latency_histogram.add(
+          distinct ? run.slots
+                   : 1 + rng.next_below(64) * rng.next_below(64) / 64);
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<ucr::RunMetrics> copy = runs;
+    state.ResumeTiming();
+    const ucr::AggregateResult result =
+        ucr::aggregate_runs("latencies", kMessages, std::move(copy));
+    benchmark::DoNotOptimize(result.latency_p99);
+  }
+  state.SetItemsProcessed(state.iterations() * 4 *
+                          static_cast<std::int64_t>(kMessages));
+}
+BENCHMARK_CAPTURE(BM_AggregateRuns_Latencies, Repeated, false);
+BENCHMARK_CAPTURE(BM_AggregateRuns_Latencies, Distinct, true);
+
 // Whole-pipeline sweep from a versioned spec file. One iteration = the
 // complete sweep the file describes (compile is outside the loop: the
 // regression target is execution, not parsing).

@@ -7,8 +7,8 @@
 // genuinely different protocol states, so the fair aggregate engine does
 // not apply) and reports per-message delivery latency. The whole study is
 // one ExperimentSpec: a Poisson ArrivalSpec makes every run of a cell a
-// fresh draw of the arrival process, and record_latencies carries the
-// per-message latencies back in the aggregates. The non-monotonic
+// fresh draw of the arrival process, and record_latencies carries each
+// run's latency histogram back in the aggregates. The non-monotonic
 // strategies the paper proposes for batched arrivals remain well-behaved
 // under Poisson arrivals — the observation that motivates the paper's
 // closing conjecture.
@@ -52,9 +52,11 @@ int main(int argc, char** argv) {
   for (const auto& result : results) {
     std::vector<double> latencies;
     for (const auto& run : result.details) {
-      for (const auto l : run.latencies) {
-        latencies.push_back(static_cast<double>(l));
-      }
+      run.latency_histogram.for_each(
+          [&latencies](std::uint64_t value, std::uint64_t count) {
+            latencies.insert(latencies.end(), count,
+                             static_cast<double>(value));
+          });
     }
     const ucr::Summary lat = ucr::summarize(latencies);
     table.add_row({result.protocol, ucr::format_count(result.makespan.mean),

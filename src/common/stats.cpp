@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -59,15 +60,91 @@ double RunningStats::max() const {
   return max_;
 }
 
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  UCR_REQUIRE(!sorted.empty(), "quantile of empty sample");
+namespace {
+
+/// The one interpolation rule of every quantile here: order statistics
+/// lo = floor(q * (n - 1)) and hi = min(lo + 1, n - 1) of a sample of n,
+/// read through `order_statistics(lo, hi)` -> {v(lo), v(hi)}, blended by
+/// the fractional part. Sharing it is what makes LatencyHistogram::
+/// quantile and quantile_sorted agree bit for bit.
+template <typename OrderStatistics>
+double interpolated_quantile(std::uint64_t n, double q,
+                             OrderStatistics&& order_statistics) {
+  UCR_REQUIRE(n > 0, "quantile of empty sample");
   UCR_REQUIRE(q >= 0.0 && q <= 1.0, "quantile order out of range");
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  if (n == 1) return order_statistics(0, 0).first;
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const std::uint64_t hi = std::min(lo + 1, n - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const auto [v_lo, v_hi] = order_statistics(lo, hi);
+  return v_lo * (1.0 - frac) + v_hi * frac;
+}
+
+}  // namespace
+
+double quantile_sorted(const std::vector<double>& sorted, double q) {
+  return interpolated_quantile(
+      sorted.size(), q, [&sorted](std::uint64_t lo, std::uint64_t hi) {
+        return std::pair<double, double>{sorted[lo], sorted[hi]};
+      });
+}
+
+void LatencyHistogram::add(std::uint64_t value) {
+  ++count_;
+  if (value >= dense_.size()) {
+    const std::uint64_t bound = std::max<std::uint64_t>(64, count_);
+    if (value >= bound) {
+      overflow_.insert(
+          std::upper_bound(overflow_.begin(), overflow_.end(), value), value);
+      return;
+    }
+    // Geometric growth keeps a rising run of values amortized O(1).
+    dense_.resize(std::min(
+        bound, std::max<std::uint64_t>(value + 1, 2 * dense_.size())));
+  }
+  ++dense_[value];
+}
+
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  UCR_REQUIRE(&other != this, "a histogram cannot absorb itself");
+  // Each side's dense length is <= max(64, its count), so the longer one
+  // stays within the merged bound.
+  if (other.dense_.size() > dense_.size()) dense_.resize(other.dense_.size());
+  for (std::size_t v = 0; v < other.dense_.size(); ++v) {
+    dense_[v] += other.dense_[v];
+  }
+  count_ += other.count_;
+  // Merge the two ascending overflow lists; the prefix the merged dense
+  // range now covers moves into it.
+  const auto middle = static_cast<std::ptrdiff_t>(overflow_.size());
+  overflow_.insert(overflow_.end(), other.overflow_.begin(),
+                   other.overflow_.end());
+  std::inplace_merge(overflow_.begin(), overflow_.begin() + middle,
+                     overflow_.end());
+  const auto covered =
+      std::lower_bound(overflow_.begin(), overflow_.end(), dense_.size());
+  for (auto it = overflow_.begin(); it != covered; ++it) ++dense_[*it];
+  overflow_.erase(overflow_.begin(), covered);
+}
+
+double LatencyHistogram::quantile(double q) const {
+  return interpolated_quantile(
+      count_, q, [this](std::uint64_t lo, std::uint64_t hi) {
+        // v(rank) is the value whose cumulative counts span rank: the
+        // last one reached with fewer than rank + 1 values before it. The
+        // walk stops at v(hi).
+        double v_lo = 0.0;
+        double v_hi = 0.0;
+        std::uint64_t before = 0;
+        visit([&](std::uint64_t value, std::uint64_t count) {
+          if (before <= lo) v_lo = static_cast<double>(value);
+          v_hi = static_cast<double>(value);
+          before += count;
+          return before <= hi;
+        });
+        return std::pair<double, double>{v_lo, v_hi};
+      });
 }
 
 Summary summarize(const std::vector<double>& sample) {

@@ -51,6 +51,67 @@ Summary summarize(const std::vector<double>& sample);
 /// Linear-interpolation quantile of a *sorted* sample, q in [0,1].
 double quantile_sorted(const std::vector<double>& sorted, double q);
 
+/// Exact histogram of a sample of non-negative integers (per-message
+/// latencies): the multiset of values, without their order. Counts sit in
+/// a dense array indexed by value, which grows on demand only while its
+/// length stays <= max(64, count()); any value beyond it is kept raw in an
+/// ascending overflow list (inserted in place; rising values, as in a
+/// batch, append). So storage is O(count()) whatever the values' range —
+/// never sized to a slot cap — and a run of small, repeated values costs
+/// a few dense words instead of one word per sample.
+class LatencyHistogram {
+ public:
+  void add(std::uint64_t value);
+  void merge(const LatencyHistogram& other);
+
+  std::uint64_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  /// Calls f(value, count) once per distinct value, in ascending value
+  /// order: replaying it expands to the sorted sample.
+  template <typename F>
+  void for_each(F&& f) const {
+    visit([&f](std::uint64_t value, std::uint64_t count) {
+      f(value, count);
+      return true;
+    });
+  }
+
+  /// The double quantile_sorted returns on the expanded, sorted sample
+  /// (bit for bit: the same interpolation over the same order
+  /// statistics, read off cumulative counts). Requires count() > 0.
+  double quantile(double q) const;
+
+ private:
+  /// for_each that stops once f returns false.
+  template <typename F>
+  void visit(F&& f) const;
+
+  std::vector<std::uint64_t> dense_;     // dense_[v] = occurrences of v
+  std::vector<std::uint64_t> overflow_;  // ascending; past dense_ when added
+  std::uint64_t count_ = 0;
+};
+
+template <typename F>
+void LatencyHistogram::visit(F&& f) const {
+  // The dense counts merged with the overflow: an overflowed value may lie
+  // below a range the dense array reached later.
+  std::size_t o = 0;
+  const auto overflow_run = [this, &o](std::uint64_t value) {
+    std::uint64_t run = 0;
+    for (; o < overflow_.size() && overflow_[o] == value; ++o) ++run;
+    return run;
+  };
+  for (std::uint64_t value = 0; value < dense_.size(); ++value) {
+    const std::uint64_t count = dense_[value] + overflow_run(value);
+    if (count != 0 && !f(value, count)) return;
+  }
+  while (o < overflow_.size()) {
+    const std::uint64_t value = overflow_[o];
+    if (!f(value, overflow_run(value))) return;
+  }
+}
+
 /// Pearson chi-square statistic for observed vs expected counts.
 /// Bins with expected < 1e-12 must have observed == 0 (checked).
 double chi_square_statistic(const std::vector<double>& observed,

@@ -1,5 +1,7 @@
 #include "coord/workers.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -45,6 +47,18 @@ void apply_option(WorkerSpec& worker, const std::string& token,
     worker.capacity = static_cast<unsigned>(capacity);
   } else if (key == "name") {
     UCR_REQUIRE(!value.empty(), source + ": empty worker name");
+    // Names become path components (the coordinator's per-worker cache
+    // directory), so no separators, no `.`/`..` and nothing a shell or
+    // a status line would have to quote.
+    const bool safe_chars =
+        std::all_of(value.begin(), value.end(), [](char c) {
+          return std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                 c == '.' || c == '_' || c == '-';
+        });
+    UCR_REQUIRE(safe_chars && value != "." && value != "..",
+                source + ": unsafe worker name '" + value +
+                    "' (use letters, digits, '.', '_' and '-'; not '.' "
+                    "or '..')");
     worker.name = value;
   } else {
     throw ContractViolation(source + ": unknown worker option '" + key +

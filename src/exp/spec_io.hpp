@@ -20,8 +20,9 @@
 //   seed = 2011
 //   engine = fair               # fair | batched | node | node_batched
 //   max_slots = 0               # 0 = engine default cap
-//   record_deliveries = false
-//   record_latencies = false
+//   record_deliveries = false   # per-message records (delivery slots,
+//                               # and latencies in delivery order)
+//   record_latencies = false    # latency histogram per run (p50/p95/p99)
 //   collision_detection = false
 //   shard = 0/1                 # i/N block of the flattened grid
 //   threads = 0                 # 0 = all hardware threads

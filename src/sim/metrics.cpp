@@ -20,6 +20,10 @@ void RunMetrics::validate() const {
     UCR_CHECK(deliveries < k,
               "incomplete run cannot have delivered k messages");
   }
+  if (!latency_histogram.empty()) {
+    UCR_CHECK(latency_histogram.count() == deliveries,
+              "recorded latency histogram count mismatch");
+  }
   if (!latencies.empty()) {
     UCR_CHECK(latencies.size() == deliveries,
               "recorded latency count mismatch");

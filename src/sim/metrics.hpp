@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "channel/model.hpp"
+#include "common/stats.hpp"
 
 namespace ucr {
 
@@ -44,18 +45,29 @@ struct RunMetrics {
   /// EngineOptions::record_deliveries is set).
   std::vector<std::uint64_t> delivery_slots;
 
-  /// Per-message latency (delivery slot - arrival slot + 1) in delivery
-  /// order; filled by the per-node engine when
-  /// EngineOptions::record_latencies is set. The fair engines leave it
-  /// empty: under batched arrivals latency is the delivery slot + 1, so
-  /// `delivery_slots` already carries it.
+  /// Exact histogram of the per-message latencies (delivery slot -
+  /// arrival slot + 1); filled by the per-node engine when
+  /// EngineOptions::record_latencies is set. Its storage is O(deliveries)
+  /// words at most and a few dense words for short, repeated latencies
+  /// (common/stats.hpp), which is what lets a cell hold every run until
+  /// it aggregates. The fair engines leave it empty: under batched
+  /// arrivals latency is the delivery slot + 1, so `delivery_slots`
+  /// already carries it.
+  LatencyHistogram latency_histogram;
+
+  /// The same latencies as a sequence in delivery order, aligned with
+  /// `delivery_slots` — filled only when EngineOptions::record_latencies
+  /// and EngineOptions::record_deliveries are both set (per-message
+  /// records are the one thing record_deliveries buys).
   std::vector<std::uint64_t> latencies;
 
   /// Makespan normalized by k — the paper's Table 1 quantity.
   double ratio() const;
 
   /// Internal consistency: outcome counts sum to slots, deliveries match
-  /// success slots, deliveries == k iff completed. Throws on violation.
+  /// success slots, deliveries == k iff completed, and every recorded
+  /// latency record (histogram or sequence) counts each delivery once.
+  /// Throws on violation.
   void validate() const;
 };
 
@@ -65,9 +77,14 @@ struct EngineOptions {
   /// completed == false (never an infinite loop). 0 means "default cap"
   /// of 10^6 + 100000 * k slots, far above any protocol bound in the repo.
   std::uint64_t max_slots = 0;
-  /// Record the slot index of every delivery (costs O(k) memory).
+  /// Keep per-message records: the slot index of every delivery and,
+  /// with record_latencies, the latency sequence in delivery order
+  /// (costs O(k) memory).
   bool record_deliveries = false;
-  /// Record per-message latencies (per-node engine only; O(k) memory).
+  /// Record per-message latencies as an exact histogram
+  /// (RunMetrics::latency_histogram; per-node engine only) — what the
+  /// latency_p50/p95/p99 columns are read from. The per-message sequence
+  /// additionally needs record_deliveries.
   bool record_latencies = false;
   /// Run each engine in its batched mode — every engine function
   /// (run_fair_slot_engine, run_fair_window_engine, run_node_engine)

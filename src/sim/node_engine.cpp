@@ -45,10 +45,8 @@ std::size_t attribute_success(const std::vector<double>& probs,
 // The generic instantiation: virtual calls into any NodeProtocol.
 RunMetrics run_node_engine(const NodeFactory& factory,
                            const ArrivalPattern& arrivals, Xoshiro256& rng,
-                           const EngineOptions& options,
-                           LatencyMetrics* latency) {
-  return run_node_engine<NodeProtocol>(factory, arrivals, rng, options,
-                                       latency);
+                           const EngineOptions& options) {
+  return run_node_engine<NodeProtocol>(factory, arrivals, rng, options);
 }
 
 }  // namespace ucr

@@ -44,13 +44,6 @@ namespace ucr {
 using NodeFactory =
     std::function<std::unique_ptr<NodeProtocol>(Xoshiro256& rng)>;
 
-/// Per-message latency results (only filled when requested via options).
-struct LatencyMetrics {
-  /// delivery_slot[i] - arrival_slot[i] + 1 for each delivered message, in
-  /// delivery order.
-  std::vector<std::uint64_t> latencies;
-};
-
 /// Runs the per-node engine on an arbitrary arrival pattern.
 ///
 /// `arrivals` must be sorted non-decreasing. Every station gets a protocol
@@ -90,8 +83,7 @@ struct LatencyMetrics {
 /// materialized) or on a non-clean EngineOptions::channel.
 RunMetrics run_node_engine(const NodeFactory& factory,
                            const ArrivalPattern& arrivals, Xoshiro256& rng,
-                           const EngineOptions& options,
-                           LatencyMetrics* latency = nullptr);
+                           const EngineOptions& options);
 
 /// The same engine over stations of protocol type P (a final NodeProtocol
 /// subclass): `factory` hands out std::unique_ptr<P>, so every per-station
@@ -101,6 +93,6 @@ template <typename P>
 RunMetrics run_node_engine(
     const std::function<std::unique_ptr<P>(Xoshiro256& rng)>& factory,
     const ArrivalPattern& arrivals, Xoshiro256& rng,
-    const EngineOptions& options, LatencyMetrics* latency = nullptr);
+    const EngineOptions& options);
 
 }  // namespace ucr

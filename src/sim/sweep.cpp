@@ -143,12 +143,15 @@ void SweepRunner::run_impl(const std::vector<SweepPoint>& grid,
           if (remaining[cell].fetch_sub(1, std::memory_order_acq_rel) != 1) {
             return;
           }
-          // Last run of this cell: fold the aggregate, then emit the
-          // longest completed prefix. The cursor is advanced before the
-          // callback runs so a throwing sink can never double-emit.
+          // Last run of this cell: the acq_rel countdown hands it every
+          // run's metrics, so it folds the aggregate before taking the
+          // lock; only the emission bookkeeping is serialized. Then emit
+          // the longest completed prefix. The cursor is advanced before
+          // the callback runs so a throwing sink can never double-emit.
+          AggregateResult aggregate = aggregate_runs(
+              p.factory.name, p.cell_k(), std::move(metrics[cell]));
           std::lock_guard<std::mutex> lock(emit_mutex);
-          ready[cell] = aggregate_runs(p.factory.name, p.cell_k(),
-                                       std::move(metrics[cell]));
+          ready[cell] = std::move(aggregate);
           done[cell] = 1;
           // Once any sink throws, the stream is dead: emitting later cells
           // would leave a gap in the middle of the output. Drop them and

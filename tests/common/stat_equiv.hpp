@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -75,17 +74,15 @@ inline void expect_collision_agreement(const AggregateResult& exact,
 
 /// Per-run quantile of the per-message latency distribution, summarized
 /// across runs. Requires the ensemble to have been run with
-/// EngineOptions::record_latencies (RunMetrics::latencies is empty
-/// otherwise and the returned summary has count 0).
+/// EngineOptions::record_latencies (RunMetrics::latency_histogram is
+/// empty otherwise and the returned summary has count 0).
 inline Summary latency_quantile_summary(const AggregateResult& result,
                                         double q) {
   std::vector<double> values;
   values.reserve(result.details.size());
   for (const auto& run : result.details) {
-    if (run.latencies.empty()) continue;
-    std::vector<double> sorted(run.latencies.begin(), run.latencies.end());
-    std::sort(sorted.begin(), sorted.end());
-    values.push_back(quantile_sorted(sorted, q));
+    if (run.latency_histogram.empty()) continue;
+    values.push_back(run.latency_histogram.quantile(q));
   }
   return summarize(values);
 }

@@ -89,6 +89,17 @@ TEST(Workers, RejectsMalformedFleets) {
                ContractViolation);
   EXPECT_THROW((void)parse_workers("local name=w\nexec name=w: ssh n\n"),
                ContractViolation);
+  // Names are path components: [A-Za-z0-9._-]+, not '.' or '..'.
+  for (const char* name : {"../x", "a/b", "/abs", ".", "..", "a\\b",
+                           "caf\xc3\xa9", "x$y", "a:b", "\x01"}) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW((void)parse_workers(std::string("local name=") + name),
+                 ContractViolation);
+  }
+  const auto safe = parse_workers("local name=a.b_c-9\nlocal name=...\n");
+  ASSERT_EQ(safe.size(), 2u);
+  EXPECT_EQ(safe[0].name, "a.b_c-9");
+  EXPECT_EQ(safe[1].name, "...");
   // exec needs its argv prefix after ':'.
   EXPECT_THROW((void)parse_workers("exec name=n\n"), ContractViolation);
   EXPECT_THROW((void)parse_workers("exec name=n:\n"), ContractViolation);
@@ -153,6 +164,18 @@ std::size_t worker_lines(const std::string& text) {
   return count;
 }
 
+/// A worker name that is one plain path component.
+bool is_safe_name(const std::string& name) {
+  if (name.empty() || name == "." || name == "..") return false;
+  for (const char c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '.' &&
+        c != '_' && c != '-') {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Puts `option` right after the worker kind of `line` (or in front of a
 /// line without one).
 void insert_option(std::string& line, const std::string& option) {
@@ -167,8 +190,8 @@ void insert_option(std::string& line, const std::string& option) {
 
 /// One random mutation of a fleet file: truncation, junk bytes, a
 /// duplicated, unknown or `=`-less option, a zero, negative, huge or
-/// overflowing capacity, a duplicate name, a duplicated line, CRLF line
-/// ends or blank lines.
+/// overflowing capacity, a duplicate or unsafe name, a duplicated line,
+/// CRLF line ends or blank lines.
 std::string mutate(const std::string& text, Xoshiro256& rng) {
   const auto pick = [&rng](std::size_t bound) {
     return static_cast<std::size_t>(rng.next_below(bound));
@@ -178,7 +201,7 @@ std::string mutate(const std::string& text, Xoshiro256& rng) {
   };
   std::vector<std::string> lines = split_lines(text);
   std::string& line = lines[pick(lines.size())];
-  switch (pick(10)) {
+  switch (pick(11)) {
     case 0:  // truncation
       return text.substr(0, pick(text.size() + 1));
     case 1: {  // junk bytes
@@ -226,6 +249,11 @@ std::string mutate(const std::string& text, Xoshiro256& rng) {
       }
       return out;
     }
+    case 10:  // unsafe name: a path, '.', '..' or a character to quote
+      insert_option(line, "name=" + pick_of({"../x", "a/b", "/tmp", ".",
+                                             "..", "x$y", "a\\b", "n;m",
+                                             "caf\xc3\xa9"}));
+      break;
     default:  // blank lines
       lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(
                                        pick(lines.size() + 1)),
@@ -257,6 +285,8 @@ TEST(Workers, MutatedFileIsRejectedLoudlyOrParsedWhole) {
       for (const WorkerSpec& worker : workers) {
         EXPECT_GE(worker.capacity, 1u) << "seed " << seed;
         EXPECT_FALSE(worker.name.empty()) << "seed " << seed;
+        EXPECT_TRUE(is_safe_name(worker.name))
+            << "seed " << seed << ": '" << worker.name << "'";
         EXPECT_TRUE(names.insert(worker.name).second) << "seed " << seed;
         EXPECT_EQ(worker.exec_prefix.empty(),
                   worker.kind == WorkerSpec::Kind::kLocal)

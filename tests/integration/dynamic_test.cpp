@@ -7,6 +7,7 @@
 #include "core/registry.hpp"
 #include "sim/node_engine.hpp"
 #include "sim/runner.hpp"
+#include "tests/common/latency_runs.hpp"
 
 namespace ucr {
 namespace {
@@ -57,18 +58,21 @@ TEST(DynamicArrivalsDetail, LatenciesArePerMessage) {
   const auto factory = factory_by_name("One-Fail Adaptive");
   const auto arrivals = burst_arrivals(2, 20, 500);
   Xoshiro256 rng(15);
-  LatencyMetrics latency;
   const NodeFactory node_factory = [&](Xoshiro256& r) {
     return factory.node(40, r);
   };
-  const RunMetrics run =
-      run_node_engine(node_factory, arrivals, rng, EngineOptions{}, &latency);
+  EngineOptions options;
+  options.record_deliveries = true;
+  options.record_latencies = true;
+  const RunMetrics run = run_node_engine(node_factory, arrivals, rng, options);
   ASSERT_TRUE(run.completed);
-  ASSERT_EQ(latency.latencies.size(), 40u);
-  for (const auto l : latency.latencies) {
+  ASSERT_EQ(run.latencies.size(), 40u);
+  for (const auto l : run.latencies) {
     EXPECT_GE(l, 1u);
     EXPECT_LE(l, run.slots);
   }
+  EXPECT_EQ(testutil::latency_runs(run.latency_histogram),
+            testutil::latency_runs(run.latencies));
 }
 
 TEST(DynamicArrivalsDetail, WellSeparatedBurstsBehaveLikeTwoBatches) {

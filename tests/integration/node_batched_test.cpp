@@ -34,6 +34,7 @@
 #include "core/dynamic_one_fail.hpp"
 #include "core/registry.hpp"
 #include "sim/runner.hpp"
+#include "tests/common/latency_runs.hpp"
 #include "tests/common/stat_equiv.hpp"
 
 namespace ucr {
@@ -153,6 +154,11 @@ TEST(NodeBatchedEquivalence, WindowProtocolsAreBitIdentical) {
   // Dense enough that stations overlap and pre-transmission run-ups are
   // routinely skipped.
   const auto arrivals = poisson_arrivals(150, 0.1, arrival_rng);
+  // Per-message sequences, so delivery order is compared too.
+  EngineOptions exact_with_order = exact_options();
+  exact_with_order.record_deliveries = true;
+  EngineOptions batched_with_order = batched_options();
+  batched_with_order.record_deliveries = true;
   for (const char* name :
        {"Exp Back-on/Back-off", "LogLog-Iterated Back-off",
         "Exponential Back-off (r=2)"}) {
@@ -160,16 +166,19 @@ TEST(NodeBatchedEquivalence, WindowProtocolsAreBitIdentical) {
     const auto factory = factory_by_name(name);
     for (std::uint64_t run = 0; run < 3; ++run) {
       const RunMetrics exact =
-          run_single_node(factory, arrivals, run, 88, exact_options());
+          run_single_node(factory, arrivals, run, 88, exact_with_order);
       const RunMetrics batched =
-          run_single_node(factory, arrivals, run, 88, batched_options());
+          run_single_node(factory, arrivals, run, 88, batched_with_order);
       EXPECT_EQ(exact.slots, batched.slots);
       EXPECT_EQ(exact.silence_slots, batched.silence_slots);
       EXPECT_EQ(exact.collision_slots, batched.collision_slots);
       EXPECT_EQ(exact.transmissions, batched.transmissions);
       EXPECT_DOUBLE_EQ(exact.expected_transmissions,
                        batched.expected_transmissions);
+      EXPECT_EQ(exact.delivery_slots, batched.delivery_slots);
       EXPECT_EQ(exact.latencies, batched.latencies);
+      EXPECT_EQ(testutil::latency_runs(exact.latency_histogram),
+                testutil::latency_runs(batched.latency_histogram));
     }
   }
 }

@@ -17,6 +17,7 @@
 
 #include "core/registry.hpp"
 #include "sim/runner.hpp"
+#include "tests/common/latency_runs.hpp"
 
 namespace ucr {
 namespace {
@@ -33,6 +34,7 @@ std::vector<ProtocolFactory> window_protocols() {
 EngineOptions exact_options() {
   EngineOptions options;
   options.record_latencies = true;
+  options.record_deliveries = true;  // per-message sequences, in order
   return options;
 }
 
@@ -60,7 +62,10 @@ void expect_bit_identity_at_scale(const ArrivalPattern& arrivals,
                      batched.expected_transmissions);
     EXPECT_EQ(exact.max_station_transmissions,
               batched.max_station_transmissions);
+    EXPECT_EQ(exact.delivery_slots, batched.delivery_slots);
     EXPECT_EQ(exact.latencies, batched.latencies);
+    EXPECT_EQ(testutil::latency_runs(exact.latency_histogram),
+              testutil::latency_runs(batched.latency_histogram));
   }
 }
 

@@ -24,6 +24,7 @@
 #include "sim/node_engine.hpp"
 #include "sim/observer.hpp"
 #include "sim/runner.hpp"
+#include "tests/common/latency_runs.hpp"
 
 namespace ucr {
 namespace {
@@ -52,6 +53,8 @@ void expect_same_run(const RunMetrics& typed, const RunMetrics& generic,
             generic.max_station_transmissions);
   EXPECT_EQ(typed.delivery_slots, generic.delivery_slots);
   EXPECT_EQ(typed.latencies, generic.latencies);
+  EXPECT_EQ(testutil::latency_runs(typed.latency_histogram),
+            testutil::latency_runs(generic.latency_histogram));
 }
 
 void expect_same_views(const std::vector<SlotView>& typed,
@@ -179,6 +182,7 @@ TEST(NodeTypedCatalogue, PlainLambdasTakeTheGenericEngine) {
   const ArrivalPattern arrivals = arrivals_for(1);
   EngineOptions options;
   options.max_slots = 4000;
+  options.record_deliveries = true;
   options.record_latencies = true;
   ProtocolFactory reference = default_catalogue().front();
   expect_same_run(run_single_node(reference, arrivals, 0, 5, options),

@@ -66,6 +66,24 @@ TEST(RunMetrics, ValidateChecksDeliverySlotOrdering) {
   EXPECT_THROW(m.validate(), ContractViolation);
 }
 
+TEST(RunMetrics, ValidateChecksLatencyRecordCounts) {
+  RunMetrics m = valid_completed_run();
+  for (const std::uint64_t latency : {1u, 2u, 4u}) {
+    m.latency_histogram.add(latency);
+  }
+  m.latencies = {1, 4, 2};
+  EXPECT_NO_THROW(m.validate());
+  m.latency_histogram.add(3);  // one latency more than deliveries
+  EXPECT_THROW(m.validate(), ContractViolation);
+  m.latency_histogram = LatencyHistogram{};
+  m.latency_histogram.add(1);  // fewer than deliveries
+  EXPECT_THROW(m.validate(), ContractViolation);
+  m.latency_histogram = LatencyHistogram{};  // not recorded: nothing to check
+  EXPECT_NO_THROW(m.validate());
+  m.latencies = {1, 4};  // sequence count mismatch
+  EXPECT_THROW(m.validate(), ContractViolation);
+}
+
 TEST(EngineOptions, DefaultCapScalesWithK) {
   const EngineOptions opts;
   EXPECT_EQ(opts.resolved_cap(1), 1'000'000ULL + 100'000ULL);

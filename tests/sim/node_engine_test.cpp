@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/check.hpp"
+#include "tests/common/latency_runs.hpp"
 
 namespace ucr {
 namespace {
@@ -159,36 +160,52 @@ TEST(NodeEngine, LatencyMeasuredFromArrival) {
     return std::make_unique<AlwaysTransmit>();
   };
   ArrivalPattern arrivals{0, 50};
-  LatencyMetrics latency;
-  (void)run_node_engine(factory, arrivals, rng, EngineOptions{}, &latency);
-  ASSERT_EQ(latency.latencies.size(), 2u);
-  EXPECT_EQ(latency.latencies[0], 1u);  // delivered in its arrival slot
-  EXPECT_EQ(latency.latencies[1], 1u);
+  EngineOptions options;
+  options.record_deliveries = true;
+  options.record_latencies = true;
+  const RunMetrics m = run_node_engine(factory, arrivals, rng, options);
+  ASSERT_EQ(m.latencies.size(), 2u);
+  EXPECT_EQ(m.latencies[0], 1u);  // delivered in its arrival slot
+  EXPECT_EQ(m.latencies[1], 1u);
+  EXPECT_EQ(testutil::latency_runs(m.latency_histogram),
+            testutil::latency_runs(m.latencies));
 }
 
 TEST(NodeEngine, RecordLatenciesFillsRunMetrics) {
-  // EngineOptions::record_latencies carries the same per-message values
-  // as the LatencyMetrics out-parameter, but inside RunMetrics — the form
-  // that survives aggregation and the parallel sweep pipeline.
+  // EngineOptions::record_latencies alone fills the histogram — the form
+  // that survives aggregation and the parallel sweep pipeline; the
+  // per-message sequence (aligned with delivery_slots) also needs
+  // record_deliveries. Same seed, same values either way.
   Xoshiro256 rng_a(9);
   Xoshiro256 rng_b(9);
+  Xoshiro256 rng_c(9);
   const NodeFactory factory = [](Xoshiro256&) {
     return std::make_unique<AlwaysTransmit>();
   };
   ArrivalPattern arrivals{0, 50};
-  LatencyMetrics latency;
   const RunMetrics plain =
-      run_node_engine(factory, arrivals, rng_a, EngineOptions{}, &latency);
-  EXPECT_TRUE(plain.latencies.empty());  // off by default
+      run_node_engine(factory, arrivals, rng_a, EngineOptions{});
+  EXPECT_TRUE(plain.latency_histogram.empty());  // off by default
+  EXPECT_TRUE(plain.latencies.empty());
 
   EngineOptions options;
   options.record_latencies = true;
-  const RunMetrics recorded =
+  const RunMetrics histogram_only =
       run_node_engine(factory, arrivals, rng_b, options);
-  ASSERT_EQ(recorded.latencies.size(), latency.latencies.size());
-  for (std::size_t i = 0; i < latency.latencies.size(); ++i) {
-    EXPECT_EQ(recorded.latencies[i], latency.latencies[i]);
-  }
+  EXPECT_EQ(histogram_only.latency_histogram.count(), 2u);
+  EXPECT_TRUE(histogram_only.latencies.empty());
+  EXPECT_TRUE(histogram_only.delivery_slots.empty());
+
+  options.record_deliveries = true;
+  const RunMetrics recorded =
+      run_node_engine(factory, arrivals, rng_c, options);
+  ASSERT_EQ(recorded.latencies.size(), 2u);
+  ASSERT_EQ(recorded.delivery_slots.size(), 2u);
+  EXPECT_EQ(recorded.delivery_slots[1] + 1 - recorded.latencies[1], 50u);
+  EXPECT_EQ(testutil::latency_runs(recorded.latency_histogram),
+            testutil::latency_runs(recorded.latencies));
+  EXPECT_EQ(testutil::latency_runs(recorded.latency_histogram),
+            testutil::latency_runs(histogram_only.latency_histogram));
 }
 
 TEST(NodeEngine, ListenersHearDeliveries) {
@@ -357,16 +374,15 @@ TEST(BatchedNodeEngine, StationaryStretchDeliversWithLatencies) {
   opts.batched = true;
   opts.record_deliveries = true;
   opts.record_latencies = true;
-  LatencyMetrics latency;
-  const RunMetrics m = run_node_engine(factory, arrivals, rng, opts, &latency);
+  const RunMetrics m = run_node_engine(factory, arrivals, rng, opts);
   ASSERT_TRUE(m.completed);
   ASSERT_EQ(m.delivery_slots.size(), 1u);
   EXPECT_GE(m.delivery_slots[0], 7u);  // cannot deliver before arrival
   EXPECT_EQ(m.slots, m.delivery_slots[0] + 1);
-  ASSERT_EQ(latency.latencies.size(), 1u);
-  EXPECT_EQ(latency.latencies[0], m.delivery_slots[0] - 7 + 1);
   ASSERT_EQ(m.latencies.size(), 1u);
-  EXPECT_EQ(m.latencies[0], latency.latencies[0]);
+  EXPECT_EQ(m.latencies[0], m.delivery_slots[0] - 7 + 1);
+  EXPECT_EQ(testutil::latency_runs(m.latency_histogram),
+            testutil::latency_runs(m.latencies));
   EXPECT_EQ(m.transmissions, 1u);  // only the success slot materializes
 }
 

@@ -104,8 +104,8 @@ TEST(AggregateRuns, PoolsLatencyPercentilesAcrossRuns) {
   a.completed = b.completed = true;
   a.k = b.k = 10;
   a.slots = b.slots = 20;
-  for (std::uint64_t v = 1; v <= 10; ++v) a.latencies.push_back(v);
-  for (std::uint64_t v = 11; v <= 20; ++v) b.latencies.push_back(v);
+  for (std::uint64_t v = 1; v <= 10; ++v) a.latency_histogram.add(v);
+  for (std::uint64_t v = 11; v <= 20; ++v) b.latency_histogram.add(v);
   const AggregateResult res = aggregate_runs("x", 10, {a, b});
   EXPECT_DOUBLE_EQ(res.latency_p50, 10.5);
   EXPECT_NEAR(res.latency_p95, 19.05, 1e-9);
